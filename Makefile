@@ -1,7 +1,11 @@
 GO ?= go
 BENCHTIME ?= 3x
+# Number of the benchmark snapshot bench-json writes (BENCH_$(BENCH).json);
+# bench-diff compares it with the one before.
+BENCH ?= 11
+BENCH_PREV := $(shell expr $(BENCH) - 1)
 
-.PHONY: ci fmt vet test test-determinism chaos bench bench-json bench-diff bench-smoke fuzz-smoke build
+.PHONY: ci fmt vet test test-determinism chaos bench bench-json bench-diff bench-file bench-smoke fuzz-smoke build
 
 ci: fmt vet test test-determinism
 
@@ -45,22 +49,26 @@ test-determinism:
 	$(GO) test -run Explore -count=2 -race ./...
 
 # Machine-readable benchmark trajectory: run every benchmark with
-# -benchmem and emit BENCH_10.json (name -> ns/op, allocs/op, domain
-# metrics) for future PRs to diff against. No pipe on the `go test`
+# -benchmem and emit BENCH_$(BENCH).json (name -> ns/op, allocs/op,
+# domain metrics) for future changes to diff against. No pipe on the `go test`
 # line: a benchmark failure must fail the target, not vanish into
 # tee's exit status (bench.out is left behind for debugging).
 bench-json:
 	$(GO) test -bench . -benchmem -benchtime=$(BENCHTIME) -run '^$$' ./... > bench.out
 	@cat bench.out
-	$(GO) run ./cmd/benchjson -out BENCH_10.json < bench.out
+	$(GO) run ./cmd/benchjson -out BENCH_$(BENCH).json < bench.out
 	@rm -f bench.out
-	@echo "wrote BENCH_10.json"
+	@echo "wrote BENCH_$(BENCH).json"
 
-# Perf trajectory between the previous PR's snapshot and this one:
+# Perf trajectory between the previous snapshot and this one:
 # per-benchmark ns/op and allocs/op movement. Informational (CI runs
 # it non-gating); add -fail-on-regress locally to gate.
 bench-diff:
-	$(GO) run ./cmd/benchjson -diff BENCH_9.json BENCH_10.json
+	$(GO) run ./cmd/benchjson -diff BENCH_$(BENCH_PREV).json BENCH_$(BENCH).json
+
+# The snapshot file bench-json writes (CI uploads it).
+bench-file:
+	@echo BENCH_$(BENCH).json
 
 # One iteration of every benchmark in the repo: catches benchmark rot
 # without paying for a measurement run.

@@ -126,7 +126,7 @@ func run() error {
 		<-ctx.Done()
 		srv.Close() //nolint:errcheck // shutdown path
 	}()
-	fmt.Printf("controller: REST on http://%s (POST /v1/updates, GET /v1/updates/{id}/watch, POST /v1/verify, GET /v1/healthz, plus legacy /update routes)\n", *httpAddr)
+	fmt.Printf("controller: REST on http://%s (POST /v1/updates, GET /v1/updates/{id}/watch, POST /v1/verify, GET /v1/healthz)\n", *httpAddr)
 	if err := srv.ListenAndServe(); err != nil && ctx.Err() == nil {
 		return err
 	}

@@ -58,8 +58,9 @@
 //     counterexample traces, parallel rounds with deterministic merge,
 //     timed virtual-clock replay; explore.Plan ranges over a sparse plan's
 //     ideals and linear extensions
-//   - internal/simclock  — virtual time base: Clock interface, Sim discrete-event
-//     scheduler with deterministic (time, seq) ordering and AutoAdvance
+//   - internal/simclock  — virtual time base: Clock interface (Now, Sleep,
+//     After, AfterFunc), Sim discrete-event scheduler with deterministic
+//     (time, seq) ordering and AutoAdvance
 //   - internal/topo      — topologies, update families, the Figure 1 scenario
 //   - internal/openflow  — OpenFlow 1.0-subset wire protocol
 //   - internal/planwire  — vendor-message payloads for decentralized execution
@@ -68,17 +69,20 @@
 //   - internal/switchsim — simulated switches, data-plane fabric and the
 //     decentralized plan agent (clock-parameterized); fault injection:
 //     crash-after-N-FlowMods with optional table wipe, per-class
-//     drop/duplicate/reorder; LoopGroup multiplexes fleet timers and
-//     peer acks onto shared event loops for 100k-switch fleets
+//     drop/duplicate/reorder; a connected switch keeps one goroutine (its
+//     reader) while expiry sweeps and delayed peer acks run on clock
+//     timers, and Fabric.Quiesce waits for in-flight peer acks to drain
 //   - internal/netem     — control-channel asynchrony models and the seeded
 //     probabilistic fault model (netem.Faults) on a pluggable clock
 //   - internal/controller— the controller: sharded ack-driven plan dispatch
 //     (a fixed pool of event loops, goroutine- and allocation-free per
 //     install, batched write-ahead journaling) with
 //     per-node barriers (layered plans reproduce the paper's round loop) or
-//     decentralized partition broadcast (ModeDecentralized),
-//     REST API (/v1/verify and /v1/explore are the dry-run surfaces; jobs
-//     report plan shape, per-install release edges, ctrl/peer message counts
+//     decentralized partition broadcast (ModeDecentralized); every barrier
+//     reply (installs, rollback, Barrier) resolves through one xid→sink
+//     table; the /v1 REST API (/v1/verify and /v1/explore are the dry-run
+//     surfaces; jobs report plan shape, per-install release edges,
+//     ctrl/peer message counts
 //     and the structured failure report of the abort/rollback path);
 //     with a journal configured, Engine.Recover replays job state after a
 //     crash and adopts or rolls back mid-flight frontiers by reconciling

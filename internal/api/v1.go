@@ -5,9 +5,9 @@
 // (internal/client) share these types, so a request marshalled by the
 // client is by construction the request the server decodes.
 //
-// The legacy paper-schema routes (POST /update, GET /update/{id}, ...)
-// remain available as thin adapters over the same v1 core; their types
-// live with the server.
+// A FlowUpdate keeps the field names of the paper's REST update message
+// (oldpath, newpath, wp, nw_dst), so the paper's message is a one-entry
+// batch.
 package api
 
 import (

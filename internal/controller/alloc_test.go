@@ -73,7 +73,6 @@ func newAllocHarness(t *testing.T) *allocHarness {
 		c.datapaths[d] = &datapath{
 			dpid:      d,
 			conn:      ofconn.New(newDiscardConn()),
-			barriers:  make(map[uint32]chan struct{}),
 			sinks:     make(map[uint32]barrierSink),
 			statsWait: make(map[uint32]chan []openflow.FlowStats),
 		}

@@ -114,8 +114,7 @@ type datapath struct {
 	conn *ofconn.Conn
 
 	mu        sync.Mutex
-	barriers  map[uint32]chan struct{}
-	sinks     map[uint32]barrierSink // engine installs, resolved by xid
+	sinks     map[uint32]barrierSink // every barrier waiter, resolved by xid
 	statsWait map[uint32]chan []openflow.FlowStats
 }
 
@@ -195,7 +194,6 @@ func (c *Controller) serveSwitch(ctx context.Context, nc net.Conn) {
 	dp := &datapath{
 		dpid:      features.DatapathID,
 		conn:      conn,
-		barriers:  make(map[uint32]chan struct{}),
 		sinks:     make(map[uint32]barrierSink),
 		statsWait: make(map[uint32]chan []openflow.FlowStats),
 	}
@@ -212,11 +210,11 @@ func (c *Controller) serveSwitch(ctx context.Context, nc net.Conn) {
 	}
 	c.logger.Info("switch connected", "dpid", ofconn.FormatDpid(dp.dpid))
 
-	go func() {
-		<-ctx.Done()
+	unwatch := context.AfterFunc(ctx, func() {
 		conn.Close() //nolint:errcheck // unblocking the reader
-	}()
+	})
 	c.readLoop(ctx, dp)
+	unwatch()
 
 	c.mu.Lock()
 	if c.datapaths[dp.dpid] == dp {
@@ -238,23 +236,17 @@ func (c *Controller) readLoop(ctx context.Context, dp *datapath) {
 		}
 		switch msg := m.(type) {
 		case *openflow.BarrierReply:
-			// Engine installs resolve through barrier sinks: the reply
-			// becomes a plain ack value in the owning job's channel — no
-			// goroutine ever waits per barrier. Everything else (rollback,
-			// recovery, InstallPath) still uses the channel-close barriers.
+			// Every barrier resolves through its sink: the reply becomes
+			// a plain ack value in the waiter's channel — no goroutine
+			// ever waits per barrier. A reply nobody registered (a
+			// duplicate, or one whose waiter gave up) is dropped.
 			xid := msg.Xid()
 			dp.mu.Lock()
-			if s, ok := dp.sinks[xid]; ok {
-				delete(dp.sinks, xid)
-				dp.mu.Unlock()
-				c.engine.disp.deliver(s, c.clock.Now())
-				continue
-			}
-			ch := dp.barriers[xid]
-			delete(dp.barriers, xid)
+			s, ok := dp.sinks[xid]
+			delete(dp.sinks, xid)
 			dp.mu.Unlock()
-			if ch != nil {
-				close(ch)
+			if ok {
+				c.engine.disp.deliver(s, c.clock.Now())
 			}
 		case *openflow.StatsReply:
 			dp.mu.Lock()
@@ -436,39 +428,44 @@ func (c *Controller) unregisterStateReports(job int) {
 // reply arrives (or ctx expires) — the synchronization primitive that
 // ends an update round.
 func (c *Controller) Barrier(ctx context.Context, dpid uint64) error {
-	done, err := c.BarrierAsync(dpid)
+	reply := make(chan nodeAck, 1)
+	drop, err := c.sendBarrier(dpid, barrierSink{acks: reply})
 	if err != nil {
 		return err
 	}
 	select {
-	case <-done:
+	case <-reply:
 		return nil
 	case <-ctx.Done():
+		drop()
 		return fmt.Errorf("controller: barrier to %d: %w", dpid, ctx.Err())
 	}
 }
 
-// BarrierAsync sends a BARRIER_REQUEST and returns a channel closed
-// when the reply arrives. The engine fans these out to all switches of
-// a round and then waits.
-func (c *Controller) BarrierAsync(dpid uint64) (<-chan struct{}, error) {
+// sendBarrier registers s under a fresh xid on the switch's connection
+// and writes a BARRIER_REQUEST; the read loop delivers the reply into
+// s.acks. drop deregisters the sink for a waiter that gives up.
+func (c *Controller) sendBarrier(dpid uint64, s barrierSink) (drop func(), err error) {
 	dp, err := c.datapath(dpid)
 	if err != nil {
 		return nil, err
 	}
 	req := &openflow.BarrierRequest{}
-	req.SetXid(dp.conn.NextXid())
-	done := make(chan struct{})
+	xid := dp.conn.NextXid()
+	req.SetXid(xid)
 	dp.mu.Lock()
-	dp.barriers[req.Xid()] = done
+	dp.sinks[xid] = s
 	dp.mu.Unlock()
-	if err := dp.conn.WriteMessage(req); err != nil {
+	drop = func() {
 		dp.mu.Lock()
-		delete(dp.barriers, req.Xid())
+		delete(dp.sinks, xid)
 		dp.mu.Unlock()
+	}
+	if err := dp.conn.WriteMessage(req); err != nil {
+		drop()
 		return nil, err
 	}
-	return done, nil
+	return drop, nil
 }
 
 // FlowStats fetches the switch's flow table contents.

@@ -129,8 +129,9 @@ func TestDecentralizedMatchesControllerMode(t *testing.T) {
 }
 
 // TestDecentralizedDuplicateAcksIdempotent doubles every peer ack on
-// the wire; the agents must absorb the duplicates (counting them) and
-// the update must still converge to the correct data plane.
+// the wire; the agents must absorb the duplicates (counting them once
+// the fabric has quiesced) and the update must still converge to the
+// correct data plane.
 func TestDecentralizedDuplicateAcksIdempotent(t *testing.T) {
 	in := fig1Instance(t)
 	p, err := core.PlanByName(in, "peacock", 0, true)
@@ -151,6 +152,13 @@ func TestDecentralizedDuplicateAcksIdempotent(t *testing.T) {
 	res := tb.fabric.Inject(1, nwDstOf("10.0.0.2"), 64)
 	if res.Outcome != switchsim.ProbeDelivered || !res.Visited.Equal(in.New) {
 		t.Fatalf("post-update probe = %+v", res)
+	}
+	// The job completes on the agents' reports; duplicates, each sent
+	// after its original, may still be on the wire.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := tb.fabric.Quiesce(ctx); err != nil {
+		t.Fatalf("peer acks never drained: %v", err)
 	}
 	dups := 0
 	for _, n := range topo.Fig1().Nodes() {

@@ -2,101 +2,13 @@ package controller
 
 import (
 	"encoding/json"
-	"net"
 	"net/http"
-	"strconv"
-	"time"
-
-	"tsu/internal/api"
-	"tsu/internal/core"
-	"tsu/internal/openflow"
 )
 
-// UpdateRequest is the REST message of the paper (§2): header fields
-// naming the old route, the new route, the waypoint and the inter-round
-// interval, plus the algorithm selector and the flow identity
-// (destination address) this reproduction adds explicitly. Paths list
-// datapath numbers "in the way they are passed by the network packets
-// along the route".
-//
-// This legacy route survives as a thin adapter over the v1 surface:
-// POST /update is a one-entry POST /v1/updates (see restv1.go and
-// internal/api).
-type UpdateRequest struct {
-	OldPath  []uint64 `json:"oldpath"`
-	NewPath  []uint64 `json:"newpath"`
-	Waypoint uint64   `json:"wp,omitempty"`
-	Interval int      `json:"interval,omitempty"` // milliseconds between rounds
-	// Algorithm selects the scheduler: any name registered with the
-	// core scheduler registry (see core.Names; wayup is the default
-	// when wp is set, peacock otherwise), or "two-phase" (tagged
-	// per-packet consistency).
-	Algorithm string `json:"algorithm,omitempty"`
-	// NWDst identifies the flow (IPv4 destination), e.g. "10.0.0.2".
-	NWDst string `json:"nw_dst"`
-	// Cleanup appends a garbage-collection round deleting the old
-	// policy's stale rules.
-	Cleanup bool `json:"cleanup,omitempty"`
-}
-
-// UpdateResponse reports the accepted job.
-type UpdateResponse struct {
-	ID         int        `json:"id"`
-	Algorithm  string     `json:"algorithm"`
-	Rounds     [][]uint64 `json:"rounds"`
-	Guarantees string     `json:"guarantees"`
-	Compromise bool       `json:"loop_freedom_compromised,omitempty"`
-}
-
-// JobStatus reports a job's progress.
-type JobStatus struct {
-	ID          int           `json:"id"`
-	State       string        `json:"state"`
-	Algorithm   string        `json:"algorithm"`
-	Error       string        `json:"error,omitempty"`
-	TotalMicros int64         `json:"total_us"`
-	Rounds      []RoundStatus `json:"rounds"`
-}
-
-// RoundStatus reports one executed round.
-type RoundStatus struct {
-	Round    int      `json:"round"`
-	Switches []uint64 `json:"switches"`
-	Micros   int64    `json:"us"`
-}
-
-// FlowEntryRequest is the ofctl_rest-style single-rule request
-// (POST /stats/flowentry/add|modify|delete), the base app the paper's
-// own app extends.
-type FlowEntryRequest struct {
-	Dpid     uint64 `json:"dpid"`
-	Priority uint16 `json:"priority,omitempty"`
-	Match    struct {
-		NWDst string `json:"nw_dst"`
-	} `json:"match"`
-	Actions []struct {
-		Type string `json:"type"`
-		Port uint16 `json:"port"`
-	} `json:"actions"`
-}
-
-// PolicyRequest installs a complete routing policy along a path: every
-// switch forwards the flow to its successor, and the final switch
-// delivers to the named host (optional). This is how the old policy is
-// brought up before an update (the controller owns the topology's port
-// map, so clients need not). Wire-identical to api.PolicyRequest; the
-// legacy route and POST /v1/policies share one handler.
-type PolicyRequest struct {
-	Path  []uint64 `json:"path"`
-	NWDst string   `json:"nw_dst"`
-	Host  string   `json:"host,omitempty"`
-}
-
-// RESTHandler serves the controller's HTTP API: the versioned /v1
-// surface plus the legacy paper-schema routes as adapters over it.
+// RESTHandler serves the controller's versioned /v1 HTTP API
+// (restv1.go, wire types in internal/api).
 func (c *Controller) RESTHandler() http.Handler {
 	mux := http.NewServeMux()
-	// v1 (restv1.go).
 	mux.HandleFunc("POST /v1/updates", c.handleV1SubmitBatch)
 	mux.HandleFunc("GET /v1/updates", c.handleV1Jobs)
 	mux.HandleFunc("GET /v1/updates/{id}", c.handleV1JobStatus)
@@ -106,14 +18,6 @@ func (c *Controller) RESTHandler() http.Handler {
 	mux.HandleFunc("POST /v1/policies", c.handleV1Policies)
 	mux.HandleFunc("GET /v1/healthz", c.handleV1Healthz)
 	mux.HandleFunc("GET /v1/switches", c.handleSwitches)
-	// Legacy paper-schema adapters.
-	mux.HandleFunc("POST /update", c.handleUpdate)
-	mux.HandleFunc("GET /update/{id}", c.handleJobStatus)
-	mux.HandleFunc("GET /updates", c.handleJobs)
-	mux.HandleFunc("GET /switches", c.handleSwitches)
-	mux.HandleFunc("POST /policy", c.handleV1Policies)
-	mux.HandleFunc("POST /stats/flowentry/{op}", c.handleFlowEntry)
-	mux.HandleFunc("GET /stats/flow/{dpid}", c.handleFlowStats)
 	return mux
 }
 
@@ -125,178 +29,10 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v) // response writer errors are the client's problem
 }
 
-// ScheduleFor builds the schedule for an instance using the named
-// algorithm via the core scheduler registry ("" picks wayup when a
-// waypoint is present, else peacock).
-func ScheduleFor(in *core.Instance, algorithm string) (*core.Schedule, error) {
-	return core.ScheduleByName(in, algorithm, 0)
-}
-
-// handleUpdate adapts the paper's single-flow update message onto the
-// v1 planning/submission core: one entry, same validation, same
-// engine.
-func (c *Controller) handleUpdate(w http.ResponseWriter, r *http.Request) {
-	var req UpdateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, errf(http.StatusBadRequest, api.CodeInvalidJSON, "invalid JSON: %v", err))
-		return
-	}
-	if req.Interval < 0 {
-		writeErr(w, errf(http.StatusBadRequest, api.CodeInvalidInterval, "interval %d ms is negative", req.Interval))
-		return
-	}
-	p, err := planUpdate(api.FlowUpdate{
-		OldPath:   req.OldPath,
-		NewPath:   req.NewPath,
-		Waypoint:  req.Waypoint,
-		Algorithm: req.Algorithm,
-		NWDst:     req.NWDst,
-	}, false)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	opts := SubmitOptions{Interval: time.Duration(req.Interval) * time.Millisecond, Cleanup: req.Cleanup}
-	jobs, err := c.submitPlanned([]*plannedUpdate{p}, opts)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	acc := accepted(p, jobs[0])
-	writeJSON(w, http.StatusAccepted, UpdateResponse{
-		ID:         acc.ID,
-		Algorithm:  acc.Algorithm,
-		Rounds:     acc.Rounds,
-		Guarantees: acc.Guarantees,
-		Compromise: acc.Compromise,
-	})
-}
-
 // TwoPhaseTag is the VLAN id the REST layer uses to mark the new
 // policy version in two-phase updates.
 const TwoPhaseTag uint16 = 2016
 
-func jobStatus(job *Job) JobStatus {
-	st := JobStatus{
-		ID:          job.ID,
-		State:       job.State().String(),
-		Algorithm:   job.Algorithm,
-		TotalMicros: job.TotalDuration().Microseconds(),
-	}
-	if err := job.Err(); err != nil {
-		st.Error = err.Error()
-	}
-	for _, t := range job.Timings() {
-		sw := make([]uint64, len(t.Switches))
-		for i, n := range t.Switches {
-			sw[i] = uint64(n)
-		}
-		st.Rounds = append(st.Rounds, RoundStatus{Round: t.Round, Switches: sw, Micros: t.Duration().Microseconds()})
-	}
-	return st
-}
-
-func (c *Controller) handleJobStatus(w http.ResponseWriter, r *http.Request) {
-	job, err := c.jobFromPath(r)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, jobStatus(job))
-}
-
-func (c *Controller) handleJobs(w http.ResponseWriter, _ *http.Request) {
-	jobs := c.engine.Jobs()
-	out := make([]JobStatus, 0, len(jobs))
-	for _, j := range jobs {
-		out = append(out, jobStatus(j))
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
 func (c *Controller) handleSwitches(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, c.Datapaths())
-}
-
-func (c *Controller) handleFlowEntry(w http.ResponseWriter, r *http.Request) {
-	op := r.PathValue("op")
-	var cmd openflow.FlowModCommand
-	switch op {
-	case "add":
-		cmd = openflow.FlowAdd
-	case "modify":
-		cmd = openflow.FlowModify
-	case "delete":
-		cmd = openflow.FlowDelete
-	default:
-		writeErr(w, errf(http.StatusNotFound, api.CodeBadRequest, "unknown flowentry op %q", op))
-		return
-	}
-	var req FlowEntryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, errf(http.StatusBadRequest, api.CodeInvalidJSON, "invalid JSON: %v", err))
-		return
-	}
-	ip := net.ParseIP(req.Match.NWDst)
-	if ip == nil || ip.To4() == nil {
-		writeErr(w, errf(http.StatusBadRequest, api.CodeInvalidMatch, "match.nw_dst %q is not an IPv4 address", req.Match.NWDst))
-		return
-	}
-	fm := &openflow.FlowMod{
-		Match:    openflow.ExactNWDst(ip),
-		Command:  cmd,
-		Priority: req.Priority,
-		BufferID: openflow.NoBuffer,
-		OutPort:  openflow.PortNone,
-	}
-	if fm.Priority == 0 {
-		fm.Priority = c.cfg.FlowPriority
-	}
-	for _, a := range req.Actions {
-		if a.Type != "OUTPUT" {
-			writeErr(w, errf(http.StatusBadRequest, api.CodeBadRequest, "unsupported action type %q", a.Type))
-			return
-		}
-		fm.Actions = append(fm.Actions, openflow.ActionOutput{Port: a.Port})
-	}
-	if err := c.SendFlowMod(req.Dpid, fm); err != nil {
-		writeErr(w, errf(http.StatusNotFound, api.CodeSwitchUnavailable, "%v", err))
-		return
-	}
-	if err := c.Barrier(r.Context(), req.Dpid); err != nil {
-		writeErr(w, errf(http.StatusGatewayTimeout, api.CodeSwitchUnavailable, "%v", err))
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"result": "ok"})
-}
-
-func (c *Controller) handleFlowStats(w http.ResponseWriter, r *http.Request) {
-	dpid, err := strconv.ParseUint(r.PathValue("dpid"), 10, 64)
-	if err != nil {
-		writeErr(w, errf(http.StatusBadRequest, api.CodeBadRequest, "bad dpid %q", r.PathValue("dpid")))
-		return
-	}
-	flows, err := c.FlowStats(r.Context(), dpid)
-	if err != nil {
-		writeErr(w, errf(http.StatusNotFound, api.CodeSwitchUnavailable, "%v", err))
-		return
-	}
-	type entry struct {
-		Priority uint16 `json:"priority"`
-		NWDst    string `json:"nw_dst"`
-		OutPort  uint16 `json:"out_port"`
-		Packets  uint64 `json:"packet_count"`
-	}
-	out := make([]entry, 0, len(flows))
-	for _, f := range flows {
-		e := entry{Priority: f.Priority, NWDst: f.Match.NWDstIP().String(), Packets: f.PacketCount}
-		for _, a := range f.Actions {
-			if o, ok := a.(openflow.ActionOutput); ok {
-				e.OutPort = o.Port
-				break
-			}
-		}
-		out = append(out, e)
-	}
-	writeJSON(w, http.StatusOK, out)
 }

@@ -2,14 +2,16 @@ package controller
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
-	"tsu/internal/core"
+	"tsu/internal/api"
 	"tsu/internal/switchsim"
 	"tsu/internal/topo"
 )
@@ -55,195 +57,165 @@ func getJSON(t *testing.T, url string, into any) int {
 	return resp.StatusCode
 }
 
-func TestRESTFullUpdateFlow(t *testing.T) {
-	tb, srv := restTestbed(t)
+// paperUpdate is the paper's REST update message (§2) — old route, new
+// route, waypoint, flow — as raw JSON in its own field names, wrapped
+// as the one entry of a /v1 batch. Pinning the raw bytes (rather than
+// marshalling api.FlowUpdate) keeps the paper's schema on the wire.
+func paperUpdate(fields string) string {
+	return `{"updates": [{` + fields + `}]}`
+}
 
-	// Install the old policy via the ofctl_rest-style endpoints, hop by
-	// hop — the way the original app would be driven.
-	pm := tb.ctrl.Ports()
-	for i := 0; i+1 < len(topo.Fig1OldPath); i++ {
-		node, succ := topo.Fig1OldPath[i], topo.Fig1OldPath[i+1]
-		req := map[string]any{
-			"dpid":     uint64(node),
-			"priority": 100,
-			"match":    map[string]string{"nw_dst": "10.0.0.2"},
-			"actions":  []map[string]any{{"type": "OUTPUT", "port": pm.Port(node, succ)}},
-		}
-		resp, body := postJSON(t, srv.URL+"/stats/flowentry/add", req)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("flowentry/add %d: %d %s", node, resp.StatusCode, body)
-		}
-	}
-	hostReq := map[string]any{
-		"dpid":    uint64(12),
-		"match":   map[string]string{"nw_dst": "10.0.0.2"},
-		"actions": []map[string]any{{"type": "OUTPUT", "port": pm.HostPort[12]["h2"]}},
-	}
-	if resp, body := postJSON(t, srv.URL+"/stats/flowentry/add", hostReq); resp.StatusCode != http.StatusOK {
-		t.Fatalf("host flowentry: %d %s", resp.StatusCode, body)
-	}
+const fig1PaperFields = `"oldpath": [1, 2, 3, 4, 5, 6, 12], "newpath": [1, 7, 8, 3, 9, 10, 11, 12], "wp": 3, "nw_dst": "10.0.0.2"`
 
-	// Submit the paper's update message.
-	update := UpdateRequest{
-		OldPath:  []uint64{1, 2, 3, 4, 5, 6, 12},
-		NewPath:  []uint64{1, 7, 8, 3, 9, 10, 11, 12},
-		Waypoint: 3,
-		Interval: 0,
-		NWDst:    "10.0.0.2",
-	}
-	resp, body := postJSON(t, srv.URL+"/update", update)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("update: %d %s", resp.StatusCode, body)
-	}
-	var ur UpdateResponse
-	if err := json.Unmarshal(body, &ur); err != nil {
+func postRaw(t *testing.T, url, body string) (*http.Response, []byte) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if ur.Algorithm != "wayup" {
-		t.Fatalf("default algorithm = %q, want wayup (waypoint present)", ur.Algorithm)
+	defer resp.Body.Close()
+	var out bytes.Buffer
+	if _, err := out.ReadFrom(resp.Body); err != nil {
+		t.Fatal(err)
 	}
-	if len(ur.Rounds) == 0 {
-		t.Fatal("no rounds returned")
-	}
+	return resp, out.Bytes()
+}
 
-	// Poll until done.
+// waitJobREST polls GET /v1/updates/{id} until the job is terminal.
+func waitJobREST(t *testing.T, srv *httptest.Server, id int) api.JobStatus {
+	t.Helper()
 	deadline := time.Now().Add(15 * time.Second)
-	var st JobStatus
 	for {
-		if code := getJSON(t, fmt.Sprintf("%s/update/%d", srv.URL, ur.ID), &st); code != http.StatusOK {
+		var st api.JobStatus
+		if code := getJSON(t, fmt.Sprintf("%s/v1/updates/%d", srv.URL, id), &st); code != http.StatusOK {
 			t.Fatalf("status code %d", code)
 		}
-		if st.State == "done" || st.State == "failed" {
-			break
+		if st.Terminal() {
+			return st
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("job stuck in state %q", st.State)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+}
+
+// TestRESTFullUpdateFlow drives the paper's workflow end to end over
+// REST: bring up the old policy, submit the paper's update message,
+// poll it to completion, and read back the job list and switch list.
+func TestRESTFullUpdateFlow(t *testing.T) {
+	tb, srv := restTestbed(t)
+	if resp, body := postJSON(t, srv.URL+"/v1/policies", api.PolicyRequest{
+		Path: []uint64{1, 2, 3, 4, 5, 6, 12}, NWDst: FlowIPForTest, Host: "h2",
+	}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("policy: %d %s", resp.StatusCode, body)
+	}
+
+	resp, body := postRaw(t, srv.URL+"/v1/updates", paperUpdate(fig1PaperFields))
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("update: %d %s", resp.StatusCode, body)
+	}
+	var br api.BatchUpdateResponse
+	decodeInto(t, body, &br)
+	if len(br.Updates) != 1 {
+		t.Fatalf("accepted %d updates, want 1", len(br.Updates))
+	}
+	acc := br.Updates[0]
+	if acc.Algorithm != "wayup" {
+		t.Fatalf("default algorithm = %q, want wayup (waypoint present)", acc.Algorithm)
+	}
+	if len(acc.Rounds) == 0 {
+		t.Fatal("no rounds returned")
+	}
+
+	st := waitJobREST(t, srv, acc.ID)
 	if st.State != "done" {
 		t.Fatalf("job failed: %+v", st)
 	}
-	if len(st.Rounds) != len(ur.Rounds) {
-		t.Fatalf("status rounds %d, schedule rounds %d", len(st.Rounds), len(ur.Rounds))
+	if len(st.Rounds) != len(acc.Rounds) {
+		t.Fatalf("status rounds %d, schedule rounds %d", len(st.Rounds), len(acc.Rounds))
 	}
 	if st.TotalMicros <= 0 {
 		t.Fatal("total time missing")
 	}
 
-	// Data plane follows the new path now.
-	res := tb.fabric.Inject(1, nwDstOf("10.0.0.2"), 64)
+	// Data plane follows the new path now, with one rule at the
+	// ingress.
+	res := tb.fabric.Inject(1, nwDstOf(FlowIPForTest), 64)
 	if res.Outcome != switchsim.ProbeDelivered || !res.Visited.Equal(topo.Fig1NewPath) {
 		t.Fatalf("post-REST-update probe = %+v", res)
 	}
-
-	// Flow table dump via REST.
-	var entries []map[string]any
-	if code := getJSON(t, srv.URL+"/stats/flow/1", &entries); code != http.StatusOK {
-		t.Fatalf("stats/flow code %d", code)
-	}
-	if len(entries) != 1 {
-		t.Fatalf("switch 1 entries = %v", entries)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if flows, err := tb.ctrl.FlowStats(ctx, 1); err != nil || len(flows) != 1 {
+		t.Fatalf("switch 1 flows = %v, %v", flows, err)
 	}
 
-	// Job list.
-	var jobs []JobStatus
-	if code := getJSON(t, srv.URL+"/updates", &jobs); code != http.StatusOK || len(jobs) != 1 {
+	var jobs []api.JobStatus
+	if code := getJSON(t, srv.URL+"/v1/updates", &jobs); code != http.StatusOK || len(jobs) != 1 {
 		t.Fatalf("updates list: code %d, %v", code, jobs)
 	}
-
-	// Switch list.
 	var dpids []uint64
-	if code := getJSON(t, srv.URL+"/switches", &dpids); code != http.StatusOK || len(dpids) != 12 {
+	if code := getJSON(t, srv.URL+"/v1/switches", &dpids); code != http.StatusOK || len(dpids) != 12 {
 		t.Fatalf("switches: code %d, %v", code, dpids)
 	}
 }
 
+// TestRESTValidation sends malformed variants of the paper's update
+// message, in its own field names, and expects each rejected with the
+// status and error code of the check that caught it.
 func TestRESTValidation(t *testing.T) {
 	_, srv := restTestbed(t)
 	cases := []struct {
-		name string
-		url  string
-		body any
-		want int
+		name     string
+		body     string
+		wantCode int
 	}{
-		{"bad-json", "/update", "{", http.StatusBadRequest},
-		{"bad-ip", "/update", UpdateRequest{OldPath: []uint64{1, 2}, NewPath: []uint64{1, 2}, NWDst: "nope"}, http.StatusBadRequest},
-		{"bad-paths", "/update", UpdateRequest{OldPath: []uint64{1}, NewPath: []uint64{1, 2}, NWDst: "10.0.0.2"}, http.StatusBadRequest},
-		{"bad-algo", "/update", UpdateRequest{OldPath: []uint64{1, 2, 3, 4, 5, 6, 12}, NewPath: []uint64{1, 7, 8, 3, 9, 10, 11, 12}, NWDst: "10.0.0.2", Algorithm: "magic"}, http.StatusBadRequest},
-		{"wayup-needs-wp", "/update", UpdateRequest{OldPath: []uint64{1, 2, 3, 4, 5, 6, 12}, NewPath: []uint64{1, 7, 8, 3, 9, 10, 11, 12}, NWDst: "10.0.0.2", Algorithm: "wayup"}, http.StatusBadRequest},
-		{"flowentry-bad-op", "/stats/flowentry/fry", FlowEntryRequest{}, http.StatusNotFound},
-		{"flowentry-bad-ip", "/stats/flowentry/add", map[string]any{"dpid": 1, "match": map[string]string{"nw_dst": "x"}}, http.StatusBadRequest},
-		{"flowentry-bad-action", "/stats/flowentry/add", map[string]any{"dpid": 1, "match": map[string]string{"nw_dst": "10.0.0.2"}, "actions": []map[string]any{{"type": "DROP"}}}, http.StatusBadRequest},
-		{"flowentry-unknown-dpid", "/stats/flowentry/add", map[string]any{"dpid": 99, "match": map[string]string{"nw_dst": "10.0.0.2"}, "actions": []map[string]any{{"type": "OUTPUT", "port": 1}}}, http.StatusNotFound},
+		{"bad-json", "{", api.CodeInvalidJSON},
+		{"bad-ip", paperUpdate(`"oldpath": [1, 2], "newpath": [1, 2], "nw_dst": "nope"`), api.CodeInvalidMatch},
+		{"bad-paths", paperUpdate(`"oldpath": [1], "newpath": [1, 2], "nw_dst": "10.0.0.2"`), api.CodeInvalidPath},
+		{"bad-algo", paperUpdate(fig1PaperFields + `, "algorithm": "magic"`), api.CodeUnknownAlgorithm},
+		{"wayup-needs-wp", paperUpdate(`"oldpath": [1, 2, 3, 4, 5, 6, 12], "newpath": [1, 7, 8, 3, 9, 10, 11, 12], "nw_dst": "10.0.0.2", "algorithm": "wayup"`), api.CodeScheduleFailed},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			var resp *http.Response
-			var body []byte
-			if s, isRaw := c.body.(string); isRaw {
-				r, err := http.Post(srv.URL+c.url, "application/json", bytes.NewReader([]byte(s)))
-				if err != nil {
-					t.Fatal(err)
-				}
-				r.Body.Close()
-				resp = r
-			} else {
-				resp, body = postJSON(t, srv.URL+c.url, c.body)
+			resp, body := postRaw(t, srv.URL+"/v1/updates", c.body)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("code = %d (%s), want %d", resp.StatusCode, body, http.StatusBadRequest)
 			}
-			if resp.StatusCode != c.want {
-				t.Fatalf("%s: code = %d (%s), want %d", c.url, resp.StatusCode, body, c.want)
+			var envelope api.Error
+			decodeInto(t, body, &envelope)
+			if envelope.Code != c.wantCode {
+				t.Fatalf("envelope = %+v, want code %d", envelope, c.wantCode)
 			}
 		})
 	}
 }
 
+// TestRESTJobLookupErrors pins the error envelope of job lookups: an
+// unknown id is 404 with CodeUnknownJob, a malformed one 400 with
+// CodeBadRequest.
 func TestRESTJobLookupErrors(t *testing.T) {
 	_, srv := restTestbed(t)
-	if code := getJSON(t, srv.URL+"/update/999", nil); code != http.StatusNotFound {
-		t.Fatalf("unknown job code = %d", code)
-	}
-	if code := getJSON(t, srv.URL+"/update/abc", nil); code != http.StatusBadRequest {
-		t.Fatalf("bad job id code = %d", code)
-	}
-	if code := getJSON(t, srv.URL+"/stats/flow/xyz", nil); code != http.StatusBadRequest {
-		t.Fatalf("bad dpid code = %d", code)
-	}
-	if code := getJSON(t, srv.URL+"/stats/flow/77", nil); code != http.StatusNotFound {
-		t.Fatalf("unknown dpid code = %d", code)
-	}
-}
-
-func TestScheduleForSelection(t *testing.T) {
-	inWP := core.MustInstance(topo.Fig1OldPath, topo.Fig1NewPath, topo.Fig1Waypoint)
-	s, err := ScheduleFor(inWP, "")
-	if err != nil || s.Algorithm != "wayup" {
-		t.Fatalf("default with wp = %v, %v", s, err)
-	}
-	inNoWP := core.MustInstance(topo.Path{1, 2, 3}, topo.Path{1, 3}, 0)
-	s, err = ScheduleFor(inNoWP, "")
-	if err != nil || s.Algorithm != "peacock" {
-		t.Fatalf("default without wp = %v, %v", s, err)
-	}
-	for _, algo := range []string{"wayup", "peacock", "greedy-slf", "oneshot"} {
-		in := inWP
-		s, err := ScheduleFor(in, algo)
-		if err != nil {
-			t.Fatalf("%s: %v", algo, err)
+	for _, c := range []struct {
+		path       string
+		wantStatus int
+		wantCode   int
+	}{
+		{"/v1/updates/999", http.StatusNotFound, api.CodeUnknownJob},
+		{"/v1/updates/abc", http.StatusBadRequest, api.CodeBadRequest},
+	} {
+		var envelope api.Error
+		if code := getJSON(t, srv.URL+c.path, &envelope); code != c.wantStatus || envelope.Code != c.wantCode {
+			t.Fatalf("GET %s = %d %+v, want %d code %d", c.path, code, envelope, c.wantStatus, c.wantCode)
 		}
-		if s.Algorithm != algo {
-			t.Fatalf("algorithm = %q, want %q", s.Algorithm, algo)
-		}
-	}
-	if _, err := ScheduleFor(inWP, "nope"); err == nil {
-		t.Fatal("unknown algorithm accepted")
 	}
 }
 
 func TestRESTPolicyInstall(t *testing.T) {
 	tb, srv := restTestbed(t)
-	req := PolicyRequest{Path: []uint64{1, 2, 3, 4, 5, 6, 12}, NWDst: FlowIPForTest, Host: "h2"}
-	resp, body := postJSON(t, srv.URL+"/policy", req)
+	req := api.PolicyRequest{Path: []uint64{1, 2, 3, 4, 5, 6, 12}, NWDst: FlowIPForTest, Host: "h2"}
+	resp, body := postJSON(t, srv.URL+"/v1/policies", req)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("policy: %d %s", resp.StatusCode, body)
 	}
@@ -252,13 +224,13 @@ func TestRESTPolicyInstall(t *testing.T) {
 		t.Fatalf("probe after policy install = %+v", res)
 	}
 	// Validation errors.
-	for name, bad := range map[string]PolicyRequest{
+	for name, bad := range map[string]api.PolicyRequest{
 		"bad-ip":    {Path: []uint64{1, 2}, NWDst: "x"},
 		"bad-path":  {Path: []uint64{1}, NWDst: FlowIPForTest},
 		"bad-host":  {Path: []uint64{1, 2}, NWDst: FlowIPForTest, Host: "nope"},
 		"bad-links": {Path: []uint64{1, 12}, NWDst: FlowIPForTest},
 	} {
-		resp, _ := postJSON(t, srv.URL+"/policy", bad)
+		resp, _ := postJSON(t, srv.URL+"/v1/policies", bad)
 		if resp.StatusCode == http.StatusOK {
 			t.Fatalf("%s accepted", name)
 		}
@@ -267,46 +239,29 @@ func TestRESTPolicyInstall(t *testing.T) {
 
 func TestRESTTwoPhaseAndCleanup(t *testing.T) {
 	tb, srv := restTestbed(t)
-	// Old policy via /policy.
-	req := PolicyRequest{Path: []uint64{1, 2, 3, 4, 5, 6, 12}, NWDst: FlowIPForTest, Host: "h2"}
-	if resp, body := postJSON(t, srv.URL+"/policy", req); resp.StatusCode != http.StatusOK {
+	req := api.PolicyRequest{Path: []uint64{1, 2, 3, 4, 5, 6, 12}, NWDst: FlowIPForTest, Host: "h2"}
+	if resp, body := postJSON(t, srv.URL+"/v1/policies", req); resp.StatusCode != http.StatusOK {
 		t.Fatalf("policy: %d %s", resp.StatusCode, body)
 	}
-	update := UpdateRequest{
-		OldPath:   []uint64{1, 2, 3, 4, 5, 6, 12},
-		NewPath:   []uint64{1, 7, 8, 3, 9, 10, 11, 12},
-		Waypoint:  3,
-		Algorithm: "two-phase",
-		NWDst:     FlowIPForTest,
-		Cleanup:   true,
-	}
-	resp, body := postJSON(t, srv.URL+"/update", update)
+	resp, body := postJSON(t, srv.URL+"/v1/updates", api.BatchUpdateRequest{
+		Updates: []api.FlowUpdate{fig1Update("two-phase")},
+		Cleanup: true,
+	})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("two-phase update: %d %s", resp.StatusCode, body)
 	}
-	var ur UpdateResponse
-	if err := json.Unmarshal(body, &ur); err != nil {
-		t.Fatal(err)
+	var br api.BatchUpdateResponse
+	decodeInto(t, body, &br)
+	acc := br.Updates[0]
+	if acc.Algorithm != "two-phase" || acc.Guarantees != "PerPacketConsistency" {
+		t.Fatalf("response = %+v", acc)
 	}
-	if ur.Algorithm != "two-phase" || ur.Guarantees != "PerPacketConsistency" {
-		t.Fatalf("response = %+v", ur)
+	st := waitJobREST(t, srv, acc.ID)
+	if st.State != "done" {
+		t.Fatalf("job state %q (%s)", st.State, st.Error)
 	}
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		var st JobStatus
-		if code := getJSON(t, fmt.Sprintf("%s/update/%d", srv.URL, ur.ID), &st); code != http.StatusOK {
-			t.Fatalf("status code %d", code)
-		}
-		if st.State == "done" {
-			if len(st.Rounds) != 3 { // prepare, commit, cleanup
-				t.Fatalf("rounds = %d, want 3", len(st.Rounds))
-			}
-			break
-		}
-		if st.State == "failed" || time.Now().After(deadline) {
-			t.Fatalf("job state %q", st.State)
-		}
-		time.Sleep(10 * time.Millisecond)
+	if len(st.Rounds) != 3 { // prepare, commit, cleanup
+		t.Fatalf("rounds = %d, want 3", len(st.Rounds))
 	}
 	res := tb.fabric.Inject(1, nwDstOf(FlowIPForTest), 64)
 	if !res.Visited.Equal(topo.Fig1NewPath) {

@@ -35,9 +35,6 @@ import (
 //	POST /v1/policies         install a routing policy along a path
 //	GET  /v1/healthz          ops probe (switches, queue depth)
 //	GET  /v1/switches         connected datapath ids
-//
-// The legacy paper-schema routes in rest.go are thin adapters over the
-// same planning/submission core.
 
 // handlerError carries the HTTP status and machine-readable code a
 // failed request maps to; plan optionally attaches a best-so-far plan

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"time"
 
 	"tsu/internal/core"
 	"tsu/internal/metrics"
@@ -201,63 +202,74 @@ func (e *Engine) executeRollback(ctx context.Context, job *Job, spec *rollbackSp
 		mods[j] = fm
 	}
 
-	rbCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	acks := make(chan nodeAck, n) // buffered: stragglers never leak
+	// One sink per node, each resolved at most once: replies never
+	// block the read loops, and a late one lands in the buffer unread.
+	acks := make(chan nodeAck, n)
+	pending := make([]bool, n)
+	var deads timedRing // RoundTimeout deadlines in send order
+	inflight := 0
+	var failure error
 	dispatch := func(j int) {
-		go func() {
-			node := rev.Nodes[j].Switch
-			if err := e.c.SendFlowMod(uint64(node), mods[j]); err != nil {
-				acks <- nodeAck{idx: j, err: fmt.Errorf("rollback at %d: sending flowmod: %w", node, err)}
-				return
-			}
-			done, err := e.c.BarrierAsync(uint64(node))
-			if err != nil {
-				acks <- nodeAck{idx: j, err: fmt.Errorf("rollback at %d: barrier: %w", node, err)}
-				return
-			}
-			select {
-			case <-done:
-			case <-e.c.clock.After(e.c.cfg.RoundTimeout):
-				acks <- nodeAck{idx: j, err: fmt.Errorf("rollback at %d: barrier reply: %w", node, context.DeadlineExceeded)}
-				return
-			case <-rbCtx.Done():
-				acks <- nodeAck{idx: j, err: fmt.Errorf("rollback at %d: barrier reply: %w", node, rbCtx.Err())}
-				return
-			}
-			acks <- nodeAck{idx: j, flowMods: 1}
-		}()
+		node := rev.Nodes[j].Switch
+		if err := e.c.SendFlowMod(uint64(node), mods[j]); err != nil {
+			failure = fmt.Errorf("rollback at %d: sending flowmod: %w", node, err)
+			return
+		}
+		if _, err := e.c.sendBarrier(uint64(node), barrierSink{acks: acks, idx: int32(j), flowMods: 1}); err != nil {
+			failure = fmt.Errorf("rollback at %d: barrier: %w", node, err)
+			return
+		}
+		pending[j] = true
+		inflight++
+		deads.push(int32(j), e.c.clock.Now().Add(e.c.cfg.RoundTimeout))
 	}
 
 	run := core.NewPlanRun(rev)
 	ready := run.Reset(make([]int, 0, n))
-	inflight := 0
 	for _, j := range ready {
-		inflight++
-		dispatch(j)
-	}
-	var failure error
-	for inflight > 0 {
-		a := <-acks
-		inflight--
-		if a.err != nil {
-			if failure == nil {
-				failure = a.err
-				cancel()
-			}
-			continue // drain
+		if failure == nil {
+			dispatch(j)
 		}
-		node := rev.Nodes[a.idx].Switch
-		job.addMessages(node, MessageStats{Ctrl: a.flowMods + 2})
-		metrics.InstallsRolledBack.Inc()
-		rolledBack = append(rolledBack, node)
-		undone[fwd[a.idx]] = true
-		for _, s := range run.Complete(a.idx, ready[:0]) {
-			if failure != nil {
-				continue
+	}
+	// A single re-armed timer over the deadline ring, as in runDAG:
+	// deadlines are pushed in nondecreasing order, so the earliest
+	// pending one is the head once resolved entries are skipped.
+	var timerC <-chan time.Time
+	var timerAt time.Time
+	for inflight > 0 && failure == nil {
+		for deads.len() > 0 {
+			if j, _ := deads.peek(); pending[j] {
+				break
 			}
-			inflight++
-			dispatch(s)
+			deads.pop()
+		}
+		_, dl := deads.peek()
+		if timerC == nil || timerAt.After(dl) {
+			timerC = e.c.clock.After(dl.Sub(e.c.clock.Now()))
+			timerAt = dl
+		}
+		select {
+		case a := <-acks:
+			pending[a.idx] = false
+			inflight--
+			node := rev.Nodes[a.idx].Switch
+			job.addMessages(node, MessageStats{Ctrl: a.flowMods + 2})
+			metrics.InstallsRolledBack.Inc()
+			rolledBack = append(rolledBack, node)
+			undone[fwd[a.idx]] = true
+			for _, s := range run.Complete(a.idx, ready[:0]) {
+				if failure == nil {
+					dispatch(s)
+				}
+			}
+		case <-timerC:
+			timerC = nil
+			if j, dl := deads.peek(); !dl.After(e.c.clock.Now()) {
+				failure = fmt.Errorf("rollback at %d: barrier reply: %w", rev.Nodes[j].Switch, context.DeadlineExceeded)
+			}
+		case <-ctx.Done():
+			j, _ := deads.peek()
+			failure = fmt.Errorf("rollback at %d: barrier reply: %w", rev.Nodes[j].Switch, ctx.Err())
 		}
 	}
 	return rolledBack, undone, failure

@@ -12,15 +12,13 @@ import (
 	"tsu/internal/topo"
 )
 
-// TestLoopGroupDecentralizedVirtualClock runs a full decentralized
-// update over a fleet whose switches share one switchsim.LoopGroup on
-// a virtual clock: expiry sweeps, context teardown and — crucially —
-// the peer acks of decentralized execution all ride the shared event
-// loops instead of per-switch/per-ack goroutines. The update must
-// converge to the new path with exactly one peer message per
-// cross-switch DAG edge, and the modelled latencies must show up in
-// virtual time.
-func TestLoopGroupDecentralizedVirtualClock(t *testing.T) {
+// TestDecentralizedVirtualClockFleet runs a full decentralized update
+// over a switch fleet on a virtual clock: expiry sweeps and — crucially
+// — the peer acks of decentralized execution ride clock timers instead
+// of per-switch/per-ack goroutines. The update must converge to the new
+// path with exactly one peer message per cross-switch DAG edge, and
+// the modelled latencies must show up in virtual time.
+func TestDecentralizedVirtualClockFleet(t *testing.T) {
 	sim := simclock.NewSim(time.Time{})
 	stopDriver := sim.AutoAdvance(200 * time.Microsecond)
 	defer stopDriver()
@@ -37,14 +35,12 @@ func TestLoopGroupDecentralizedVirtualClock(t *testing.T) {
 		t.Fatal(err)
 	}
 	fabric := switchsim.NewFabric(g)
-	lg := switchsim.NewLoopGroup(ctx, sim, 2)
 	for _, n := range g.Nodes() {
 		sw, err := switchsim.NewSwitch(fabric, switchsim.Config{
 			Node:           n,
 			InstallLatency: netem.Fixed(2 * time.Millisecond),
 			PeerLatency:    netem.Fixed(500 * time.Microsecond),
 			Clock:          sim,
-			Loops:          lg,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -58,9 +54,6 @@ func TestLoopGroupDecentralizedVirtualClock(t *testing.T) {
 	defer waitCancel()
 	if err := ctrl.WaitForSwitches(waitCtx, g.NumNodes()); err != nil {
 		t.Fatal(err)
-	}
-	if lg.Members() != g.NumNodes() {
-		t.Fatalf("group members = %d, want %d", lg.Members(), g.NumNodes())
 	}
 
 	in := core.MustInstance(topo.Fig1OldPath, topo.Fig1NewPath, topo.Fig1Waypoint)

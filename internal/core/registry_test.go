@@ -92,6 +92,10 @@ func TestDefaultAlgorithm(t *testing.T) {
 	if err != nil || s.Algorithm != core.AlgoWayUp {
 		t.Fatalf("ScheduleByName(\"\") = %v, %v", s, err)
 	}
+	s, err = core.ScheduleByName(noWP, "", 0)
+	if err != nil || s.Algorithm != core.AlgoPeacock {
+		t.Fatalf("ScheduleByName(\"\") without waypoint = %v, %v", s, err)
+	}
 }
 
 func TestSchedulerFuncApplicable(t *testing.T) {

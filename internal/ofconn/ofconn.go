@@ -35,9 +35,12 @@ type Conn struct {
 	closeErr  error
 }
 
-// New wraps a network connection.
+// New wraps a network connection. The default 4 KiB read buffer holds
+// a coalesced batch of control messages; it is allocated per
+// connection, twice per switch, so a fleet pays for its size many
+// times over.
 func New(nc net.Conn) *Conn {
-	return &Conn{nc: nc, br: bufio.NewReaderSize(nc, 64<<10)}
+	return &Conn{nc: nc, br: bufio.NewReader(nc)}
 }
 
 // NextXid allocates a fresh non-zero transaction id.

@@ -1,7 +1,7 @@
 // Package simclock provides the virtual time base of the repository: a
-// Clock interface over Now/Sleep/After with two implementations — the
-// real wall clock, and Sim, a discrete-event scheduler whose time
-// advances only when events fire.
+// Clock interface over Now/Sleep/After/AfterFunc with two
+// implementations — the real wall clock, and Sim, a discrete-event
+// scheduler whose time advances only when events fire.
 //
 // The paper's entire problem is that FlowMods "take effect out of
 // order" across asynchronous switches; modelling that asynchrony with
@@ -13,10 +13,10 @@
 //
 // Two usage styles, with different determinism guarantees:
 //
-//   - Event callbacks (Schedule + Advance/Run): everything happens in
-//     the driving goroutine, in exact (time, seq) order. This is fully
-//     deterministic and is what internal/explore and the virtual
-//     experiment harness use. Callbacks must not block on the clock
+//   - Event callbacks (Schedule or AfterFunc + Advance/Run): everything
+//     happens in the driving goroutine, in exact (time, seq) order. This
+//     is fully deterministic and is what internal/explore and the
+//     virtual experiment harness use. Callbacks must not block on the clock
 //     (no Sleep/After inside a callback — the driver would deadlock).
 //
 //   - Blocking waiters (Sleep/After from other goroutines): the waiter
@@ -47,6 +47,11 @@ type Clock interface {
 	// After returns a channel that delivers the clock's time once d has
 	// elapsed.
 	After(d time.Duration) <-chan time.Time
+	// AfterFunc runs fn once d has elapsed on this clock. The returned
+	// stop cancels a pending call and reports whether it did; it is
+	// false once fn has started. On Sim, fn runs in the goroutine that
+	// advances the clock, so it must never block on the clock itself.
+	AfterFunc(d time.Duration, fn func()) (stop func() bool)
 }
 
 // realClock forwards to package time.
@@ -59,6 +64,9 @@ func (realClock) Sleep(d time.Duration) {
 	}
 }
 func (realClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
+func (realClock) AfterFunc(d time.Duration, fn func()) func() bool {
+	return time.AfterFunc(d, fn).Stop
+}
 
 // Real is the wall clock. It is the default everywhere a nil Clock is
 // accepted.
@@ -81,9 +89,10 @@ var Epoch = time.Date(2000, 1, 1, 0, 0, 0, 0, time.UTC)
 // events were scheduled in — fully deterministic for single-threaded
 // (callback-style) drivers.
 type event struct {
-	at  time.Time
-	seq uint64
-	fn  func()
+	at    time.Time
+	seq   uint64
+	fn    func()
+	index int // position in the queue; -1 once popped or removed
 }
 
 type eventQueue []*event
@@ -95,13 +104,21 @@ func (q eventQueue) Less(i, j int) bool {
 	}
 	return q[i].seq < q[j].seq
 }
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x any)   { *q = append(*q, x.(*event)) }
+func (q eventQueue) Swap(i, j int) {
+	q[i], q[j] = q[j], q[i]
+	q[i].index, q[j].index = i, j
+}
+func (q *eventQueue) Push(x any) {
+	ev := x.(*event)
+	ev.index = len(*q)
+	*q = append(*q, ev)
+}
 func (q *eventQueue) Pop() any {
 	old := *q
 	n := len(old)
 	ev := old[n-1]
 	old[n-1] = nil
+	ev.index = -1
 	*q = old[:n-1]
 	return ev
 }
@@ -185,12 +202,20 @@ func (s *Sim) ScheduleAt(t time.Time, fn func()) {
 // allocate in steady state.
 func (s *Sim) Schedule(d time.Duration, fn func()) {
 	s.mu.Lock()
+	s.pushLocked(d, fn)
+	s.mu.Unlock()
+}
+
+// pushLocked enqueues fn d from now (d <= 0: at the current instant).
+// Callers hold s.mu.
+func (s *Sim) pushLocked(d time.Duration, fn func()) *event {
 	t := s.now
 	if d > 0 {
 		t = t.Add(d)
 	}
-	heap.Push(&s.queue, s.newEventLocked(t, fn))
-	s.mu.Unlock()
+	ev := s.newEventLocked(t, fn)
+	heap.Push(&s.queue, ev)
+	return ev
 }
 
 // Sleep blocks the calling goroutine until virtual time has advanced
@@ -212,6 +237,28 @@ func (s *Sim) After(d time.Duration) <-chan time.Time {
 	ch := make(chan time.Time, 1)
 	s.Schedule(d, func() { ch <- s.Now() })
 	return ch
+}
+
+// AfterFunc schedules fn as an event d from now, like Schedule, and
+// returns a stop function that removes the event from the queue if it
+// has not fired yet. fn runs in the driving goroutine (see the package
+// comment): it must not Sleep or wait on After.
+func (s *Sim) AfterFunc(d time.Duration, fn func()) (stop func() bool) {
+	s.mu.Lock()
+	ev := s.pushLocked(d, fn)
+	seq := ev.seq
+	s.mu.Unlock()
+	return func() bool {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		// A fired event is recycled under a new seq; a popped one has
+		// index -1. Either way it is no longer this timer's.
+		if ev.seq != seq || ev.index < 0 {
+			return false
+		}
+		heap.Remove(&s.queue, ev.index)
+		return true
+	}
 }
 
 // pop removes and returns the earliest event if its time is <= limit,

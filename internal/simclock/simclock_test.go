@@ -101,6 +101,48 @@ func TestSimAfterDeliversVirtualTime(t *testing.T) {
 	}
 }
 
+func TestSimAfterFuncStop(t *testing.T) {
+	s := NewSim(time.Time{})
+	var log []string
+	s.AfterFunc(time.Millisecond, func() { log = append(log, "a@1") })
+	stopB := s.AfterFunc(2*time.Millisecond, func() { log = append(log, "b@2") })
+	stopC := s.AfterFunc(3*time.Millisecond, func() { log = append(log, "c@3") })
+	if !stopB() {
+		t.Fatal("stop of a pending timer reported false")
+	}
+	if stopB() {
+		t.Fatal("second stop reported true")
+	}
+	if s.Pending() != 2 {
+		t.Fatalf("pending = %d after stop, want 2 (stopped timer must leave the queue)", s.Pending())
+	}
+	if n := s.Run(); n != 2 {
+		t.Fatalf("fired %d events, want 2", n)
+	}
+	if got := fmt.Sprint(log); got != "[a@1 c@3]" {
+		t.Fatalf("event order %s, want [a@1 c@3]", got)
+	}
+	// Fired (and recycled into a new event): stop must not touch the
+	// event's next owner.
+	s.Schedule(time.Millisecond, func() { log = append(log, "d@4") })
+	if stopC() {
+		t.Fatal("stop after fire reported true")
+	}
+	if s.Run(); fmt.Sprint(log) != "[a@1 c@3 d@4]" {
+		t.Fatalf("stale stop removed a recycled event: %v", log)
+	}
+}
+
+func TestRealAfterFuncStop(t *testing.T) {
+	fired := make(chan struct{})
+	Real.AfterFunc(time.Millisecond, func() { close(fired) })
+	stop := Real.AfterFunc(time.Hour, func() { t.Error("stopped timer fired") })
+	if !stop() {
+		t.Fatal("stop of a pending wall-clock timer reported false")
+	}
+	<-fired
+}
+
 func TestSimAutoAdvanceDrivesSleepers(t *testing.T) {
 	s := NewSim(time.Time{})
 	stop := s.AutoAdvance(100 * time.Microsecond)

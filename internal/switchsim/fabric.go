@@ -1,6 +1,7 @@
 package switchsim
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"time"
@@ -72,6 +73,13 @@ type Fabric struct {
 
 	mu       sync.RWMutex
 	switches map[topo.NodeID]*Switch
+
+	// Peer acks sent but not yet handed to their target agent, and the
+	// channel Quiesce waiters block on until that count drops to zero
+	// (nil while nobody waits).
+	peerMu       sync.Mutex
+	peerInFlight int
+	drained      chan struct{}
 }
 
 // NewFabric builds the data plane for a topology.
@@ -111,29 +119,57 @@ func (f *Fabric) Switch(n topo.NodeID) *Switch {
 }
 
 // deliverPeerAck carries one plan-agent ack from one switch to
-// another: a goroutine pays the sender's PeerLatency on the sender's
-// clock (a data-plane hop, not a controller round trip) plus any
-// injected extra delay (fault reordering), then hands the ack to the
-// target's agent. Delivery order across concurrent acks is whatever
+// another. The hop latency is drawn from the sender's source at send
+// time (a data-plane hop, not a controller round trip) and any
+// injected extra delay (fault reordering) is added; an ack due now is
+// handed to the target's agent at once, a later one by a timer on the
+// sender's clock. Delivery order across concurrent acks is whatever
 // the latencies produce — the receiving agent is built to absorb
 // reordering and duplication.
 func (f *Fabric) deliverPeerAck(from *Switch, to topo.NodeID, ack PeerAck, extra time.Duration) {
-	if g := from.cfg.Loops; g != nil {
-		// Shared event loops: draw the hop latency now and queue a timed
-		// delivery instead of parking a goroutine on a sleep.
-		delay := from.src.Sample(from.cfg.PeerLatency) + extra
-		g.schedule(from.clock.Now().Add(delay), from, to, ack)
-		return
-	}
-	go func() {
-		from.src.Sleep(from.cfg.PeerLatency)
-		if extra > 0 {
-			from.clock.Sleep(extra)
-		}
+	delay := from.src.Sample(from.cfg.PeerLatency) + extra
+	f.peerMu.Lock()
+	f.peerInFlight++
+	f.peerMu.Unlock()
+	deliver := func() {
 		if tgt := f.Switch(to); tgt != nil {
 			tgt.agent.deliver(ack)
 		}
-	}()
+		f.peerMu.Lock()
+		if f.peerInFlight--; f.peerInFlight == 0 && f.drained != nil {
+			close(f.drained)
+			f.drained = nil
+		}
+		f.peerMu.Unlock()
+	}
+	if delay <= 0 {
+		deliver()
+		return
+	}
+	from.clock.AfterFunc(delay, deliver)
+}
+
+// Quiesce blocks until no peer ack is in flight on the fabric (every
+// ack sent so far has reached its target agent) or ctx ends. Tests
+// call it before reading per-switch ack counters: a job can complete
+// while duplicate or delayed acks are still on the wire.
+func (f *Fabric) Quiesce(ctx context.Context) error {
+	f.peerMu.Lock()
+	if f.peerInFlight == 0 {
+		f.peerMu.Unlock()
+		return nil
+	}
+	if f.drained == nil {
+		f.drained = make(chan struct{})
+	}
+	drained := f.drained
+	f.peerMu.Unlock()
+	select {
+	case <-drained:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
 }
 
 // probeSize is the byte size accounted per probe packet.

@@ -111,14 +111,6 @@ type Config struct {
 	// source's own clock wins for latency sleeps.
 	Clock simclock.Clock
 
-	// Loops optionally multiplexes this switch's timed background
-	// duties (expiry sweeps, delayed peer acks, close-on-cancel) onto a
-	// shared event-loop pool, capping the per-switch goroutine cost at
-	// the one blocking connection reader. Large fleets should share a
-	// single group built on the same clock and context. Nil keeps the
-	// classic goroutine-per-duty layout.
-	Loops *LoopGroup
-
 	// Logger receives connection lifecycle events; nil discards them.
 	Logger *slog.Logger
 }
@@ -222,9 +214,11 @@ func portHWAddr(dpid uint64, port uint16) [6]byte {
 }
 
 // Connect dials the controller, runs the switch-side handshake, and
-// starts the control loop in a background goroutine. It returns once
-// the handshake completed. Stop (or ctx cancellation) terminates the
-// loop.
+// starts the control loop in a background goroutine — the one
+// goroutine a connected switch keeps: expiry sweeps and delayed peer
+// acks run on clock timers, and context cancellation closes the
+// connection through context.AfterFunc. It returns once the handshake
+// completed. Stop (or ctx cancellation) terminates the loop.
 func (s *Switch) Connect(ctx context.Context, controllerAddr string) error {
 	var d net.Dialer
 	nc, err := d.DialContext(ctx, "tcp", controllerAddr)
@@ -245,30 +239,19 @@ func (s *Switch) Connect(ctx context.Context, controllerAddr string) error {
 	s.done = done
 	s.mu.Unlock()
 
-	if g := s.cfg.Loops; g != nil {
-		// Shared event loops own the expiry sweeps and close-on-cancel;
-		// the blocking reader is the switch's only goroutine.
-		g.register(s, conn)
-		go func() {
-			defer close(done)
-			defer g.unregister(s)
-			defer conn.Close() //nolint:errcheck // loop exit path
-			s.controlLoop(loopCtx, conn)
-		}()
-		return nil
-	}
+	// Tear the connection down when the context dies so the blocking
+	// read returns.
+	unwatch := context.AfterFunc(loopCtx, func() {
+		conn.Close() //nolint:errcheck // unblocking the reader
+	})
+	sweep := s.startExpirySweep(conn)
 	go func() {
 		defer close(done)
 		defer conn.Close() //nolint:errcheck // loop exit path
+		defer unwatch()
+		defer sweep.halt()
 		s.controlLoop(loopCtx, conn)
 	}()
-	// Tear the connection down when the context dies so the blocking
-	// read returns.
-	go func() {
-		<-loopCtx.Done()
-		conn.Close() //nolint:errcheck // unblocking the reader
-	}()
-	go s.expiryLoop(loopCtx, conn)
 	return nil
 }
 
@@ -320,24 +303,45 @@ func (s *Switch) sweepExpiry(conn *ofconn.Conn, now time.Time) error {
 	return nil
 }
 
-// expiryLoop sweeps the flow table for idle/hard-timeout expiry and
-// emits FLOW_REMOVED for entries that asked for it (per-switch layout;
-// a LoopGroup runs the same sweep from its shared timing loop).
-func (s *Switch) expiryLoop(ctx context.Context, conn *ofconn.Conn) {
-	period := s.expiryPeriod()
-	// The sweep paces itself on the switch's clock: on the wall clock
-	// this behaves like the former ticker; on a simclock.Sim the sweep
-	// fires as virtual time crosses each period boundary.
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case now := <-s.clock.After(period):
-			if s.sweepExpiry(conn, now) != nil {
-				return
-			}
-		}
+// expirySweep is a connection's self-re-arming expiry timer: each
+// fire sweeps the table and arms the next one a period later, on the
+// switch's clock (virtual time under a simclock.Sim).
+type expirySweep struct {
+	s      *Switch
+	conn   *ofconn.Conn
+	period time.Duration
+
+	mu     sync.Mutex
+	stop   func() bool
+	halted bool
+}
+
+func (s *Switch) startExpirySweep(conn *ofconn.Conn) *expirySweep {
+	w := &expirySweep{s: s, conn: conn, period: s.expiryPeriod()}
+	w.mu.Lock()
+	w.stop = s.clock.AfterFunc(w.period, w.fire)
+	w.mu.Unlock()
+	return w
+}
+
+func (w *expirySweep) fire() {
+	if w.s.sweepExpiry(w.conn, w.s.clock.Now()) != nil {
+		return // connection dead; the control loop is exiting
 	}
+	w.mu.Lock()
+	if !w.halted {
+		w.stop = w.s.clock.AfterFunc(w.period, w.fire)
+	}
+	w.mu.Unlock()
+}
+
+// halt cancels the pending sweep; a sweep already running finishes
+// without re-arming.
+func (w *expirySweep) halt() {
+	w.mu.Lock()
+	w.halted = true
+	w.stop()
+	w.mu.Unlock()
 }
 
 // crashIfDue fires the DisconnectAfterFlowMods crash once the applied
@@ -397,15 +401,10 @@ func (s *Switch) Connected() bool {
 // call multiple times or before Connect.
 func (s *Switch) Stop() {
 	s.mu.Lock()
-	cancel, done, conn := s.cancel, s.done, s.conn
+	cancel, done := s.cancel, s.done
 	s.mu.Unlock()
 	if cancel != nil {
 		cancel()
-	}
-	if s.cfg.Loops != nil && conn != nil {
-		// No per-switch context watcher in group mode: unblock the
-		// reader directly.
-		conn.Close() //nolint:errcheck // stop path
 	}
 	if done != nil {
 		<-done

@@ -57,22 +57,22 @@ func applyMod(t *testing.T, f *switchsim.Fabric, node topo.NodeID, match openflo
 	}
 }
 
-// runVirtualLiveUpdate executes the WayUp Fig.1 update entirely in
-// virtual time: per round, every switch's FlowMod takes effect at a
-// seeded random instant; barriers separate rounds (round r+1's
-// deliveries start after round r's last); a probe fires every 50µs of
-// virtual time throughout. It returns the probe stats plus a
-// bit-exact event log of every rule install and every probe.
-func runVirtualLiveUpdate(t *testing.T, seed int64) (Stats, string) {
+// fig1Instance is the paper's Fig.1 update with its waypoint.
+func fig1Instance() *core.Instance {
+	return core.MustInstance(topo.Fig1OldPath, topo.Fig1NewPath, topo.Fig1Waypoint)
+}
+
+// runVirtualLiveUpdate executes a Fig.1 schedule entirely in virtual
+// time: per round, every switch's FlowMod takes effect at a seeded
+// random instant; barriers separate rounds (round r+1's deliveries
+// start after round r's last); a probe fires every 50µs of virtual
+// time throughout. It returns the probe stats plus a bit-exact event
+// log of every rule install and every probe.
+func runVirtualLiveUpdate(t *testing.T, seed int64, in *core.Instance, sched *core.Schedule) (Stats, string) {
 	t.Helper()
 	sim := simclock.NewSim(time.Time{})
 	fabric := virtualFig1Fabric(t, sim)
 	src := netem.NewSourceClock(seed, sim)
-	in := core.MustInstance(topo.Fig1OldPath, topo.Fig1NewPath, topo.Fig1Waypoint)
-	sched, err := core.WayUp(in)
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	var log strings.Builder
 	match := openflow.ExactNWDst(fig1FlowIP())
@@ -130,8 +130,13 @@ func runVirtualLiveUpdate(t *testing.T, seed int64) (Stats, string) {
 // install order.
 func TestVirtualLiveUpdateBitIdentical(t *testing.T) {
 	const seed = 42
-	st1, log1 := runVirtualLiveUpdate(t, seed)
-	st2, log2 := runVirtualLiveUpdate(t, seed)
+	in := fig1Instance()
+	sched, err := core.WayUp(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st1, log1 := runVirtualLiveUpdate(t, seed, in, sched)
+	st2, log2 := runVirtualLiveUpdate(t, seed, in, sched)
 	if log1 != log2 {
 		t.Fatalf("same seed produced different event logs:\nrun1:\n%s\nrun2:\n%s", log1, log2)
 	}
@@ -146,6 +151,26 @@ func TestVirtualLiveUpdateBitIdentical(t *testing.T) {
 	// this one is pinned by the seed.
 	if st1.Bypasses != 0 {
 		t.Fatalf("wayup bypassed the waypoint under the virtual clock: %+v", st1)
+	}
+}
+
+// TestVirtualOneShotViolates demonstrates the problem the paper
+// solves, deterministically: without rounds and barriers, the seeded
+// interleaving of Fig.1's installs lets probes bypass the waypoint or
+// blackhole. Each pinned seed must violate, bit-identically across two
+// runs. A single interleaving can be lucky (seed 3 is: 3 of seeds
+// 1..50 see no violation), which is why the seeds are pinned.
+func TestVirtualOneShotViolates(t *testing.T) {
+	in := fig1Instance()
+	sched := core.OneShot(in)
+	for _, seed := range []int64{1, 2, 4, 5} {
+		st, log1 := runVirtualLiveUpdate(t, seed, in, sched)
+		if _, log2 := runVirtualLiveUpdate(t, seed, in, sched); log1 != log2 {
+			t.Fatalf("seed %d: same seed produced different one-shot event logs:\nrun1:\n%s\nrun2:\n%s", seed, log1, log2)
+		}
+		if st.Violations() == 0 {
+			t.Fatalf("seed %d: one-shot produced no violation: %+v", seed, st)
+		}
 	}
 }
 
