@@ -1,5 +1,8 @@
 GO ?= go
 BENCHTIME ?= 3x
+# Runs per benchmark in bench-json: benchjson stores the median and the
+# quartile band, and bench-diff flags only moves outside the band.
+COUNT ?= 5
 # Number of the benchmark snapshot bench-json writes (BENCH_$(BENCH).json);
 # bench-diff compares it with the one before.
 BENCH ?= 11
@@ -48,13 +51,14 @@ test-determinism:
 	$(GO) test -run Explore -count=2 ./...
 	$(GO) test -run Explore -count=2 -race ./...
 
-# Machine-readable benchmark trajectory: run every benchmark with
-# -benchmem and emit BENCH_$(BENCH).json (name -> ns/op, allocs/op,
-# domain metrics) for future changes to diff against. No pipe on the `go test`
+# Machine-readable benchmark trajectory: run every benchmark COUNT
+# times with -benchmem and emit BENCH_$(BENCH).json (name -> median
+# ns/op with its quartile band, allocs/op, domain metrics) for future
+# changes to diff against. No pipe on the `go test`
 # line: a benchmark failure must fail the target, not vanish into
 # tee's exit status (bench.out is left behind for debugging).
 bench-json:
-	$(GO) test -bench . -benchmem -benchtime=$(BENCHTIME) -run '^$$' ./... > bench.out
+	$(GO) test -bench . -benchmem -benchtime=$(BENCHTIME) -count=$(COUNT) -run '^$$' ./... > bench.out
 	@cat bench.out
 	$(GO) run ./cmd/benchjson -out BENCH_$(BENCH).json < bench.out
 	@rm -f bench.out

@@ -486,10 +486,9 @@ func BenchmarkE15Soak(b *testing.B) {
 }
 
 // BenchmarkWalkBitset measures the forwarding walk on the dense bitset
-// state core against an equivalent map-based walker (the seed's State
-// representation), with half the pending switches flipped. The bitset
-// walk is the primitive under every scheduler and the verifier, so this
-// ratio is the refactor's headline number.
+// state core with half the pending switches flipped. The walk is the
+// primitive under every scheduler and the verifier. (The seed's
+// map-based baseline was retired; BENCH_10.json holds its numbers.)
 func BenchmarkWalkBitset(b *testing.B) {
 	for _, n := range []int{64, 512} {
 		ti := topo.Reversal(n)
@@ -497,30 +496,19 @@ func BenchmarkWalkBitset(b *testing.B) {
 		pending := in.Pending()
 		half := pending[:len(pending)/2]
 		st := in.StateOf(half...)
-		mapSt := make(map[topo.NodeID]bool, len(half))
-		for _, v := range half {
-			mapSt[v] = true
-		}
 		b.Run("bitset/n="+itoa(n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				in.Walk(st)
 			}
 		})
-		b.Run("map/n="+itoa(n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				mapWalk(in, mapSt)
-			}
-		})
 	}
 }
 
-// BenchmarkVerifyParallel pits the parallel bitset verification engine
-// against a single-threaded map-based reference verifier (the seed's
-// representation and threading model) on a batch of random 8-pod
-// fat-tree policies. This PR's acceptance bar is >= 3x throughput for
-// bitset-parallel over map-serial.
+// BenchmarkVerifyParallel measures the bitset verification engine,
+// parallel and single-threaded, on a batch of random 8-pod fat-tree
+// policies. (The seed's map-based serial verifier was retired;
+// BENCH_10.json holds its numbers.)
 func BenchmarkVerifyParallel(b *testing.B) {
 	g := topo.FatTree(8)
 	rng := rand.New(rand.NewSource(88))
@@ -560,201 +548,6 @@ func BenchmarkVerifyParallel(b *testing.B) {
 			}
 		}
 	})
-	b.Run("map-serial", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, task := range tasks {
-				ok, exact := mapVerify(task.Instance, task.Schedule, task.Props)
-				if !exact {
-					b.Fatal("map verifier exhausted its budget; comparison would not be work-equivalent")
-				}
-				if !ok {
-					b.Fatal("map verifier rejected a safe schedule")
-				}
-			}
-		}
-	})
-}
-
-// mapWalk is the seed's forwarding walk: map-based updated-set and
-// visited-set. Kept as the baseline BenchmarkWalkBitset compares
-// against.
-func mapWalk(in *core.Instance, upd map[topo.NodeID]bool) (topo.Path, core.Outcome) {
-	var path topo.Path
-	seen := make(map[topo.NodeID]bool)
-	v := in.Src()
-	for {
-		path = append(path, v)
-		if v == in.Dst() {
-			return path, core.Reached
-		}
-		if seen[v] {
-			return path, core.Looped
-		}
-		seen[v] = true
-		next, ok := in.NextHop(v, func(n topo.NodeID) bool { return upd[n] })
-		if !ok {
-			return path, core.Dropped
-		}
-		v = next
-	}
-}
-
-// mapVerify is the seed's verifier: per round, the branching subset
-// search over map-based states, single-threaded. It reports whether the
-// schedule is transiently consistent for props and ends in the new
-// path; exact=false means the budget ran out before the subset search
-// completed (the real engine would fall back to sampling there, so the
-// benchmark refuses the comparison). Baseline for
-// BenchmarkVerifyParallel.
-func mapVerify(in *core.Instance, s *core.Schedule, props core.Property) (ok, exact bool) {
-	done := make(map[topo.NodeID]bool)
-	for _, round := range s.Rounds {
-		if props.Has(core.StrongLoopFreedom) && !mapRoundSafeStrongLF(in, done, round) {
-			return false, true
-		}
-		c := &mapChecker{
-			in:       in,
-			done:     done,
-			inRound:  make(map[topo.NodeID]bool, len(round)),
-			props:    props &^ core.StrongLoopFreedom,
-			budget:   1 << 20,
-			assigned: make(map[topo.NodeID]bool),
-			onWalk:   make(map[topo.NodeID]bool),
-		}
-		for _, v := range round {
-			if in.NeedsUpdate(v) && !done[v] {
-				c.inRound[v] = true
-			}
-		}
-		if c.step(in.Src()) {
-			return false, true
-		}
-		if c.budget < 0 {
-			return true, false
-		}
-		for _, v := range round {
-			done[v] = true
-		}
-	}
-	path, outcome := mapWalk(in, done)
-	return outcome == core.Reached && path.Equal(in.New), true
-}
-
-type mapChecker struct {
-	in       *core.Instance
-	done     map[topo.NodeID]bool
-	inRound  map[topo.NodeID]bool
-	props    core.Property
-	budget   int
-	assigned map[topo.NodeID]bool
-	onWalk   map[topo.NodeID]bool
-}
-
-func (c *mapChecker) updated(v topo.NodeID) bool {
-	if c.done[v] {
-		return true
-	}
-	set, ok := c.assigned[v]
-	return ok && set
-}
-
-// step returns true when some subset of the round violates a property.
-func (c *mapChecker) step(v topo.NodeID) bool {
-	c.budget--
-	if c.budget < 0 {
-		return false
-	}
-	if v == c.in.Dst() {
-		return c.props.Has(core.WaypointEnforcement) && c.in.Waypoint != 0 && !c.onWalk[c.in.Waypoint]
-	}
-	if c.onWalk[v] {
-		return c.props.Has(core.RelaxedLoopFreedom)
-	}
-	c.onWalk[v] = true
-	defer delete(c.onWalk, v)
-	if c.inRound[v] {
-		if _, fixed := c.assigned[v]; !fixed {
-			for _, set := range []bool{true, false} {
-				c.assigned[v] = set
-				if c.advance(v) {
-					return true
-				}
-			}
-			delete(c.assigned, v)
-			return false
-		}
-	}
-	return c.advance(v)
-}
-
-func (c *mapChecker) advance(v topo.NodeID) bool {
-	next, ok := c.in.NextHop(v, c.updated)
-	if !ok {
-		return c.props.Has(core.NoBlackhole)
-	}
-	return c.step(next)
-}
-
-// mapRoundSafeStrongLF is the seed's polynomial double-edge test over
-// map-based colors: every subset of round on top of done keeps the rule
-// graph acyclic iff the graph with both edges at in-flight switches is
-// acyclic.
-func mapRoundSafeStrongLF(in *core.Instance, done map[topo.NodeID]bool, round []topo.NodeID) bool {
-	inRound := make(map[topo.NodeID]bool, len(round))
-	for _, v := range round {
-		inRound[v] = true
-	}
-	edges := func(v topo.NodeID) []topo.NodeID {
-		if v == in.Dst() {
-			return nil
-		}
-		var out []topo.NodeID
-		if !in.NeedsUpdate(v) {
-			if n, ok := in.NextHop(v, nil); ok {
-				out = append(out, n)
-			}
-			return out
-		}
-		newSucc, _ := in.NewSucc(v)
-		if done[v] {
-			return append(out, newSucc)
-		}
-		if inRound[v] {
-			out = append(out, newSucc)
-		}
-		if n, ok := in.OldSucc(v); ok {
-			out = append(out, n)
-		}
-		return out
-	}
-	const (
-		white = 0
-		grey  = 1
-		black = 2
-	)
-	color := make(map[topo.NodeID]int)
-	var visit func(v topo.NodeID) bool
-	visit = func(v topo.NodeID) bool {
-		color[v] = grey
-		for _, n := range edges(v) {
-			switch color[n] {
-			case grey:
-				return true
-			case white:
-				if visit(n) {
-					return true
-				}
-			}
-		}
-		color[v] = black
-		return false
-	}
-	for _, v := range in.Nodes() {
-		if color[v] == white && visit(v) {
-			return false
-		}
-	}
-	return true
 }
 
 func itoa(n int) string {

@@ -2,16 +2,20 @@
 // stdin into the repository's BENCH_*.json trajectory format: one
 // entry per benchmark mapping its name to ns/op, B/op, allocs/op, and
 // every domain metric the benchmark reported via b.ReportMetric
-// (violations/op, rounds, events, states, ...). Future PRs diff these
-// files to see the perf trajectory.
+// (violations/op, rounds, events, states, ...). Repeated runs of a
+// benchmark (go test -count N) fold into one entry: the median of
+// every value, the run count, and the ns/op quartiles as the noise
+// band. Future changes diff these files to see the perf trajectory.
 //
 // Usage:
 //
-//	go test -bench . -benchmem -run '^$' ./... | benchjson -out BENCH_5.json
+//	go test -bench . -benchmem -count 5 -run '^$' ./... | benchjson -out BENCH_5.json
 //
 // With -diff, benchjson instead compares two BENCH files and reports
 // per-benchmark ns/op and allocs/op movement — the perf-trajectory
-// check CI runs (non-gating) against the previous PR's snapshot:
+// check CI runs (non-gating) against the previous snapshot. An ns/op
+// move is flagged only past the threshold and outside both snapshots'
+// quartile bands; a single-run entry's band is its one value:
 //
 //	benchjson -diff BENCH_4.json BENCH_5.json
 //	benchjson -diff -threshold 0.25 -fail-on-regress old.json new.json
@@ -30,13 +34,19 @@ import (
 	"strings"
 )
 
-// Result is one benchmark's parsed measurements. B/op and allocs/op
-// are pointers so a recorded zero — the zero-alloc steady states this
-// repository pins — is distinguishable from -benchmem being absent.
+// Result is one benchmark's measurements: the median over its runs of
+// every value, the run count, and the ns/op quartiles. B/op and
+// allocs/op are pointers so a recorded zero — the zero-alloc steady
+// states this repository pins — is distinguishable from -benchmem
+// being absent. Snapshots written before repeated runs were folded
+// carry one run and no quartiles.
 type Result struct {
 	Package    string             `json:"package"`
 	Iterations int64              `json:"iterations"`
+	Runs       int                `json:"runs,omitempty"`
 	NsPerOp    float64            `json:"ns_per_op"`
+	NsQ1       float64            `json:"ns_per_op_q1,omitempty"`
+	NsQ3       float64            `json:"ns_per_op_q3,omitempty"`
 	BPerOp     *float64           `json:"b_per_op,omitempty"`
 	AllocsOp   *float64           `json:"allocs_per_op,omitempty"`
 	Metrics    map[string]float64 `json:"metrics,omitempty"`
@@ -72,44 +82,21 @@ func main() {
 		}
 		return
 	}
+	benchmarks, err := parse(os.Stdin)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchjson:", err)
+		os.Exit(1)
+	}
+	if len(benchmarks) == 0 {
+		fmt.Fprintln(os.Stderr, "benchjson: no benchmark lines on stdin")
+		os.Exit(1)
+	}
 	f := File{
 		Schema:     "tsu-bench/v1",
 		GoVersion:  runtime.Version(),
 		GOOS:       runtime.GOOS,
 		GOARCH:     runtime.GOARCH,
-		Benchmarks: map[string]Result{},
-	}
-	pkg := ""
-	sc := bufio.NewScanner(os.Stdin)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		if rest, ok := strings.CutPrefix(line, "pkg: "); ok {
-			pkg = strings.TrimSpace(rest)
-			continue
-		}
-		if !strings.HasPrefix(line, "Benchmark") {
-			continue
-		}
-		name, res, err := parseBenchLine(line)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: skipping %q: %v\n", line, err)
-			continue
-		}
-		res.Package = pkg
-		key := name
-		if _, dup := f.Benchmarks[key]; dup && pkg != "" {
-			key = pkg + ":" + name
-		}
-		f.Benchmarks[key] = res
-	}
-	if err := sc.Err(); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
-	}
-	if len(f.Benchmarks) == 0 {
-		fmt.Fprintln(os.Stderr, "benchjson: no benchmark lines on stdin")
-		os.Exit(1)
+		Benchmarks: benchmarks,
 	}
 	enc, err := json.MarshalIndent(f, "", "  ") // map keys marshal sorted: stable diffs
 	if err != nil {
@@ -127,47 +114,122 @@ func main() {
 	}
 }
 
+// parse reads `go test -bench` output and folds it into one Result
+// per benchmark. Runs of the same benchmark in the same package are
+// repeats (-count N); the same name in another package keys as
+// "pkg:name" so neither overwrites the other.
+func parse(r io.Reader) (map[string]Result, error) {
+	type group struct {
+		pkg, key string
+		iters    int64
+		runs     []map[string]float64
+	}
+	groups := map[[2]string]*group{} // by (package, name)
+	var order []*group
+	owner := map[string]string{} // plain name -> package keyed under it
+	pkg := ""
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	for sc.Scan() {
+		line := sc.Text()
+		if rest, ok := strings.CutPrefix(line, "pkg: "); ok {
+			pkg = strings.TrimSpace(rest)
+			continue
+		}
+		if !strings.HasPrefix(line, "Benchmark") {
+			continue
+		}
+		name, iters, vals, err := parseBenchLine(line)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "benchjson: skipping %q: %v\n", line, err)
+			continue
+		}
+		g := groups[[2]string{pkg, name}]
+		if g == nil {
+			g = &group{pkg: pkg, key: name, iters: iters}
+			if p, taken := owner[name]; taken && p != pkg {
+				g.key = pkg + ":" + name
+			} else {
+				owner[name] = pkg
+			}
+			groups[[2]string{pkg, name}] = g
+			order = append(order, g)
+		}
+		g.runs = append(g.runs, vals)
+	}
+	out := make(map[string]Result, len(order))
+	for _, g := range order {
+		res := Result{Package: g.pkg, Iterations: g.iters, Runs: len(g.runs)}
+		samples := map[string][]float64{}
+		for _, run := range g.runs {
+			for unit, v := range run {
+				samples[unit] = append(samples[unit], v)
+			}
+		}
+		for unit, vs := range samples {
+			v := quantile(vs, 0.5)
+			switch unit {
+			case "ns/op":
+				res.NsPerOp = v
+				if len(vs) > 1 {
+					res.NsQ1, res.NsQ3 = quantile(vs, 0.25), quantile(vs, 0.75)
+				}
+			case "B/op":
+				res.BPerOp = ptr(v)
+			case "allocs/op":
+				res.AllocsOp = ptr(v)
+			case "MB/s":
+				// throughput: keep under its own metric name
+				metric(&res, "mb_per_s", v)
+			default:
+				metric(&res, unit, v)
+			}
+		}
+		out[g.key] = res
+	}
+	return out, sc.Err()
+}
+
+// quantile returns the q-quantile of vs by linear interpolation
+// between order statistics; vs is sorted in place.
+func quantile(vs []float64, q float64) float64 {
+	sort.Float64s(vs)
+	pos := q * float64(len(vs)-1)
+	i := int(pos)
+	if i+1 >= len(vs) {
+		return vs[len(vs)-1]
+	}
+	return vs[i] + (pos-float64(i))*(vs[i+1]-vs[i])
+}
+
 // parseBenchLine parses one `BenchmarkName-P  N  v1 unit1  v2 unit2 …`
-// line into its name and measurements. The trailing `-P` GOMAXPROCS
-// suffix is stripped from the name: keys must match across machines
-// with different core counts, or trajectory diffs would silently
-// compare nothing.
-func parseBenchLine(line string) (string, Result, error) {
+// line into its name, iteration count and values by unit. The
+// trailing `-P` GOMAXPROCS suffix is stripped from the name: keys must
+// match across machines with different core counts, or trajectory
+// diffs would silently compare nothing.
+func parseBenchLine(line string) (name string, iters int64, vals map[string]float64, err error) {
 	fields := strings.Fields(line)
 	if len(fields) < 4 || len(fields)%2 != 0 {
-		return "", Result{}, fmt.Errorf("want 'name iters (value unit)+', got %d fields", len(fields))
+		return "", 0, nil, fmt.Errorf("want 'name iters (value unit)+', got %d fields", len(fields))
 	}
-	name := fields[0]
+	name = fields[0]
 	if i := strings.LastIndexByte(name, '-'); i > 0 {
 		if _, err := strconv.Atoi(name[i+1:]); err == nil {
 			name = name[:i]
 		}
 	}
-	iters, err := strconv.ParseInt(fields[1], 10, 64)
-	if err != nil {
-		return "", Result{}, fmt.Errorf("iterations: %w", err)
+	if iters, err = strconv.ParseInt(fields[1], 10, 64); err != nil {
+		return "", 0, nil, fmt.Errorf("iterations: %w", err)
 	}
-	res := Result{Iterations: iters}
+	vals = make(map[string]float64, len(fields)/2-1)
 	for i := 2; i+1 < len(fields); i += 2 {
 		v, err := strconv.ParseFloat(fields[i], 64)
 		if err != nil {
-			return "", Result{}, fmt.Errorf("value %q: %w", fields[i], err)
+			return "", 0, nil, fmt.Errorf("value %q: %w", fields[i], err)
 		}
-		switch unit := fields[i+1]; unit {
-		case "ns/op":
-			res.NsPerOp = v
-		case "B/op":
-			res.BPerOp = ptr(v)
-		case "allocs/op":
-			res.AllocsOp = ptr(v)
-		case "MB/s":
-			// throughput: keep under its own metric name
-			metric(&res, "mb_per_s", v)
-		default:
-			metric(&res, unit, v)
-		}
+		vals[fields[i+1]] = v
 	}
-	return name, res, nil
+	return name, iters, vals, nil
 }
 
 func metric(r *Result, name string, v float64) {
@@ -180,9 +242,11 @@ func metric(r *Result, name string, v float64) {
 func ptr(v float64) *float64 { return &v }
 
 // diffFiles compares two BENCH snapshots and writes a per-benchmark
-// movement report: ns/op relative change plus any allocs/op change
-// (alloc counts are pinned budgets, so every alloc movement is
-// reported regardless of the timing threshold). Benchmarks present in
+// movement report: ns/op relative change — flagged only past the
+// threshold and with each snapshot's median outside the other's noise
+// band, so a move inside run-to-run spread is not reported — plus any
+// allocs/op change (alloc counts are pinned budgets, so every alloc
+// movement is reported regardless of the timing threshold). Benchmarks present in
 // only one file are listed by name as ADDED or REMOVED — a renamed or
 // deleted benchmark must show up in the trajectory, not silently drop
 // out of the comparison. It returns the number of regressions —
@@ -212,7 +276,7 @@ func diffFiles(w io.Writer, oldPath, newPath string, threshold float64) (regress
 			continue
 		}
 		var notes []string
-		if ob.NsPerOp > 0 && nb.NsPerOp > 0 {
+		if ob.NsPerOp > 0 && nb.NsPerOp > 0 && outsideBands(ob, nb) {
 			rel := nb.NsPerOp/ob.NsPerOp - 1
 			if rel >= threshold {
 				slower++
@@ -250,6 +314,18 @@ func diffFiles(w io.Writer, oldPath, newPath string, threshold float64) (regress
 	fmt.Fprintf(w, "compared %d benchmarks: %d faster, %d slower, %d alloc changes, %d added, %d removed\n",
 		len(names)-added, faster, slower, allocMoves, added, removed)
 	return regressions, nil
+}
+
+// outsideBands reports whether each snapshot's ns/op median lies
+// outside the other's noise band.
+func outsideBands(ob, nb Result) bool {
+	inBand := func(v float64, r Result) bool {
+		if r.Runs < 2 { // a single run's band is its one value
+			return v == r.NsPerOp
+		}
+		return v >= r.NsQ1 && v <= r.NsQ3
+	}
+	return !inBand(nb.NsPerOp, ob) && !inBand(ob.NsPerOp, nb)
 }
 
 func readBenchFile(path string) (*File, error) {

@@ -40,7 +40,7 @@
 //
 //   - internal/core      — update model, schedulers (the paper's contribution),
 //     and the plan layer: Plan/PlanFromSchedule/SparsePlan, the order-ideal
-//     enumeration, PlanRun (allocation-free ack-dispatch bookkeeping), and
+//     enumeration and checker (Plan.CheckIdeals), PlanRun (allocation-free ack-dispatch bookkeeping), and
 //     the canonical plan wire codec; core.Walker is the incremental,
 //     allocation-free state-check primitive under the explorer and verifier
 //   - internal/synth     — counterexample-guided plan synthesis (CEGIS): grows
@@ -49,7 +49,8 @@
 //     heuristic portfolio fallback, and the optimality-gap report
 //     (synth.Compare) quantifying how far each heuristic is from optimum
 //   - internal/verify    — exact transient-state verification (fast safe/unsafe
-//     verdicts) over round states and plan ideals (verify.Plan); the
+//     verdicts) over round states and plan ideals (verify.Plan, over
+//     core.Plan.CheckIdeals, the one order-ideal checker); the
 //     PlanCounterexample entry returns the violating order ideal for the
 //     synthesizer's refinement loop
 //   - internal/explore   — adversarial interleaving explorer: exhaustive
@@ -74,9 +75,11 @@
 //     timers, and Fabric.Quiesce waits for in-flight peer acks to drain
 //   - internal/netem     — control-channel asynchrony models and the seeded
 //     probabilistic fault model (netem.Faults) on a pluggable clock
-//   - internal/controller— the controller: sharded ack-driven plan dispatch
-//     (a fixed pool of event loops, goroutine- and allocation-free per
-//     install, batched write-ahead journaling) with
+//   - internal/controller— the controller: every job runs one core.Plan
+//     with one FlowMod per node (schedules via PlanFromSchedule, joint
+//     updates with one install per flow and switch); sharded ack-driven
+//     plan dispatch (a fixed pool of event loops, goroutine- and
+//     allocation-free per install, batched write-ahead journaling) with
 //     per-node barriers (layered plans reproduce the paper's round loop) or
 //     decentralized partition broadcast (ModeDecentralized); every barrier
 //     reply (installs, rollback, Barrier) resolves through one xid→sink

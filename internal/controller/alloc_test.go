@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"tsu/internal/core"
 	"tsu/internal/ofconn"
 	"tsu/internal/openflow"
 	"tsu/internal/topo"
@@ -119,9 +120,9 @@ func newAllocHarness(t *testing.T) *allocHarness {
 	// switches, each node released by the same switch's previous
 	// install — a deep plan that exercises wave journaling, shard
 	// coalescing and the deadline ring across many release cycles.
-	var ep execPlan
 	n := allocSwitches * allocLayers
-	ep.nodes = make([]execNode, 0, n)
+	dag := &core.Plan{Nodes: make([]core.PlanNode, 0, n)}
+	nodes := make([]execNode, 0, n)
 	for i := 0; i < n; i++ {
 		node := topo.NodeID(i%allocSwitches + 1)
 		fm := &openflow.FlowMod{
@@ -136,11 +137,11 @@ func newAllocHarness(t *testing.T) *allocHarness {
 		if i >= allocSwitches {
 			deps = []int{i - allocSwitches}
 		}
-		ep.nodes = append(ep.nodes, execNode{node: node, mods: []targetedMod{{node: node, fm: fm}}, deps: deps})
+		dag.Nodes = append(dag.Nodes, core.PlanNode{Switch: node, Deps: deps})
+		nodes = append(nodes, execNode{node: node, fm: fm})
 	}
-	ep.finish()
 
-	h := &allocHarness{c: c, e: c.engine, plan: ep}
+	h := &allocHarness{c: c, e: c.engine, plan: newExecPlan(dag, nodes)}
 	h.stop = func() {
 		close(done)
 		cancel()

@@ -236,11 +236,27 @@ func TestUpdateJobIntervalBetweenRounds(t *testing.T) {
 }
 
 func TestEngineRejectsMismatchedSchedule(t *testing.T) {
-	tb := newTestbed(t, topo.Linear(4), nil)
-	in := core.MustInstance(topo.Path{1, 2, 3, 4}, topo.Path{1, 2, 3, 4}, 0)
-	bad := &core.Schedule{Algorithm: "bogus", Rounds: [][]topo.NodeID{{1}}}
-	if _, err := tb.ctrl.Engine().Submit(in, bad, flowMatch("10.0.0.2"), 0); err == nil {
-		t.Fatal("mismatched schedule accepted")
+	tb := newTestbed(t, topo.Fig1(), nil)
+	noop := core.MustInstance(topo.Path{1, 2, 3, 4}, topo.Path{1, 2, 3, 4}, 0)
+	fig1 := core.MustInstance(topo.Fig1OldPath, topo.Fig1NewPath, topo.Fig1Waypoint)
+	good, err := core.WayUp(fig1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The same rounds with an empty round spliced in: as a layered plan
+	// it would silently merge its neighbours, so it must be rejected
+	// before conversion.
+	gapped := append([][]topo.NodeID{good.Rounds[0], {}}, good.Rounds[1:]...)
+	for name, c := range map[string]struct {
+		in    *core.Instance
+		sched *core.Schedule
+	}{
+		"switch-needs-no-update": {noop, &core.Schedule{Algorithm: "bogus", Rounds: [][]topo.NodeID{{1}}}},
+		"empty-round":            {fig1, &core.Schedule{Algorithm: "bogus", Rounds: gapped}},
+	} {
+		if _, err := tb.ctrl.Engine().Submit(c.in, c.sched, flowMatch("10.0.0.2"), 0); err == nil {
+			t.Fatalf("%s: mismatched schedule accepted", name)
+		}
 	}
 }
 

@@ -207,20 +207,14 @@ func (p *planProgress) confirm(idx int, install InstallTiming) []int {
 // publish in order, and PlanRun bookkeeping still cross-checks that
 // every reported install was actually released by its dependencies.
 func (e *Engine) executeDecentralized(ctx context.Context, job *Job) {
-	job.mu.Lock()
-	job.state = JobRunning
-	job.started = e.c.clock.Now()
-	job.mu.Unlock()
-
 	nodes := job.plan.nodes
 	n := len(nodes)
 	if n > 0 {
-		// Self-describing partitions: the bookkeeping DAG plus the
-		// job's metadata, so a switch (or a debugger on the wire) can
-		// tell what it is executing.
+		// Self-describing partitions: the job's DAG plus its metadata,
+		// so a switch (or a debugger on the wire) can tell what it is
+		// executing.
 		dag := *job.plan.dag
 		dag.Algorithm = job.Algorithm
-		dag.Sparse = job.plan.sparse
 		parts := dag.Partition()
 
 		reports := make(chan *planwire.Report, len(parts))
@@ -249,11 +243,7 @@ func (e *Engine) executeDecentralized(ctx context.Context, job *Job) {
 			part := &parts[i]
 			push := &planwire.Push{Job: job.ID, Interval: job.Interval, Part: part}
 			for _, pn := range part.Nodes {
-				mods := make([]*openflow.FlowMod, 0, len(nodes[pn.Index].mods))
-				for _, tm := range nodes[pn.Index].mods {
-					mods = append(mods, tm.fm)
-				}
-				push.Mods = append(push.Mods, mods)
+				push.Mods = append(push.Mods, []*openflow.FlowMod{nodes[pn.Index].fm})
 			}
 			data, err := planwire.EncodePush(push)
 			if err != nil {
@@ -316,15 +306,7 @@ func (e *Engine) executeDecentralized(ctx context.Context, job *Job) {
 		}
 	}
 
-	e.journalTerminal(job, nil)
-	job.mu.Lock()
-	job.state = JobDone
-	job.finished = e.c.clock.Now()
-	publishLocked(job, JobEvent{State: JobDone})
-	job.mu.Unlock()
-	close(job.done)
-	e.c.logger.Info("update job done", "job", job.ID, "mode", job.Mode.String(),
-		"installs", n, "depth", job.plan.depth, "sparse", job.plan.sparse)
+	e.complete(job)
 }
 
 // stallError builds the failure report for a stalled decentralized
@@ -345,7 +327,7 @@ func stallError(job *Job, confirmed []bool, timeout time.Duration) error {
 		}
 		nd := &job.plan.nodes[i]
 		var waits []string
-		for _, d := range nd.deps {
+		for _, d := range job.plan.dag.Nodes[i].Deps {
 			if !confirmed[d] {
 				waits = append(waits, fmt.Sprintf("node %d@switch %d", d, job.plan.nodes[d].node))
 			}

@@ -60,11 +60,10 @@ type shardReq struct {
 // Registered under datapath.mu keyed by the barrier xid, removed on
 // delivery (or deregistered when the coalesced write fails).
 type barrierSink struct {
-	acks     chan<- nodeAck
-	job      int
-	idx      int32
-	flowMods int32
-	started  time.Time
+	acks    chan<- nodeAck
+	job     int
+	idx     int32
+	started time.Time
 }
 
 // Node dispatch states, tracked per plan node by the job event loop.
@@ -155,10 +154,10 @@ drain:
 	}
 	st.cancelled.Store(false)
 	st.abandoned = false
-	st.dispatched = resizeBools(st.dispatched, n)
-	st.confirmed = resizeBools(st.confirmed, n)
-	st.status = resizeBytes(st.status, n)
-	st.releasedBy = resizeNodes(st.releasedBy, n)
+	st.dispatched = resize(st.dispatched, n)
+	st.confirmed = resize(st.confirmed, n)
+	st.status = resize(st.status, n)
+	st.releasedBy = resize(st.releasedBy, n)
 	st.wave = st.wave[:0]
 	st.ready.reset()
 	st.sendNow.reset()
@@ -187,7 +186,7 @@ func (d *dispatcher) release(st *jobDispatch) {
 // its deadline) and counted.
 func (d *dispatcher) deliver(s barrierSink, now time.Time) {
 	select {
-	case s.acks <- nodeAck{job: s.job, idx: int(s.idx), flowMods: int(s.flowMods), sent: true, started: s.started, finished: now}:
+	case s.acks <- nodeAck{job: s.job, idx: int(s.idx), sent: true, started: s.started, finished: now}:
 	default:
 		metrics.DispatchAcksDropped.Inc()
 	}
@@ -334,7 +333,7 @@ func (s *dispatchShard) flush(ctx context.Context) {
 	s.fences = s.fences[:0]
 }
 
-// flushConn encodes each install's FlowMods plus one barrier into the
+// flushConn encodes each install's FlowMod plus its barrier into the
 // connection's batch — registering the barrier sink BEFORE the write,
 // so a fast reply always finds it — and issues one coalesced write.
 // On write error every sink of the batch is deregistered and every
@@ -362,11 +361,10 @@ func (s *dispatchShard) flushConn(cb *connBatch, now time.Time) {
 		}
 		dp.mu.Lock()
 		dp.sinks[xid] = barrierSink{
-			acks:     r.st.acks,
-			job:      r.job.ID,
-			idx:      int32(r.idx),
-			flowMods: int32(len(nd.mods)),
-			started:  now,
+			acks:    r.st.acks,
+			job:     r.job.ID,
+			idx:     int32(r.idx),
+			started: now,
 		}
 		dp.mu.Unlock()
 		cb.reqs[k] = r
@@ -391,48 +389,19 @@ func (s *dispatchShard) flushConn(cb *connBatch, now time.Time) {
 	}
 }
 
-// encodeInstall appends one node's FlowMods to the batch.
+// encodeInstall appends one node's FlowMod to the batch.
 func (s *dispatchShard) encodeInstall(cb *connBatch, dp *datapath, nd *execNode) error {
-	for _, tm := range nd.mods {
-		tm.fm.SetXid(dp.conn.NextXid())
-		if err := cb.batch.Add(tm.fm); err != nil {
-			return err
-		}
-	}
-	return nil
+	nd.fm.SetXid(dp.conn.NextXid())
+	return cb.batch.Add(nd.fm)
 }
 
-// resizeBools returns a zeroed bool slice of length n, reusing b.
-func resizeBools(b []bool, n int) []bool {
+// resize returns a zeroed slice of length n, reusing b's array.
+func resize[T any](b []T, n int) []T {
 	if cap(b) < n {
-		return make([]bool, n)
+		return make([]T, n)
 	}
 	b = b[:n]
-	for i := range b {
-		b[i] = false
-	}
-	return b
-}
-
-func resizeBytes(b []byte, n int) []byte {
-	if cap(b) < n {
-		return make([]byte, n)
-	}
-	b = b[:n]
-	for i := range b {
-		b[i] = 0
-	}
-	return b
-}
-
-func resizeNodes(b []topo.NodeID, n int) []topo.NodeID {
-	if cap(b) < n {
-		return make([]topo.NodeID, n)
-	}
-	b = b[:n]
-	for i := range b {
-		b[i] = 0
-	}
+	clear(b)
 	return b
 }
 

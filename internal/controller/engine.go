@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"runtime/pprof"
 	"slices"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -108,105 +107,44 @@ type JobEvent struct {
 	Err     error // set on terminal failure
 }
 
-// targetedMod is one FlowMod addressed to one switch.
-type targetedMod struct {
-	node topo.NodeID
-	fm   *openflow.FlowMod
-}
-
-// execRound is a fully materialized round: the FlowMods to send and
-// the switches to barrier afterwards. Builders still assemble rounds
-// (schedules, joint updates and two-phase are naturally round-shaped);
-// layeredExecPlan converts them to the execution DAG the dispatcher
-// runs.
-type execRound struct {
-	mods    []targetedMod
-	cleanup bool
-}
-
-func (r *execRound) switches() []topo.NodeID {
-	seen := make(map[topo.NodeID]bool, len(r.mods))
-	var out []topo.NodeID
-	for _, m := range r.mods {
-		if !seen[m.node] {
-			seen[m.node] = true
-			out = append(out, m.node)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // execNode is one per-switch install of a job's execution DAG: the
-// FlowMods to send to one switch, the node indices whose barriers must
-// arrive first, and the node's layer (longest dependency chain) for
-// the aggregated round view.
+// FlowMod for its switch and the node's layer (longest dependency
+// chain) for the aggregated round view. Its dependencies live in the
+// job's execPlan.dag.
 type execNode struct {
 	node    topo.NodeID
-	mods    []targetedMod
-	deps    []int
+	fm      *openflow.FlowMod
 	layer   int
 	cleanup bool
 }
 
-// execPlan is a job's materialized execution DAG plus its shape. dag
-// mirrors the nodes 1:1 as a bare core.Plan so the dispatcher reuses
-// core.PlanRun's allocation-free release bookkeeping.
+// execPlan is a job's execution DAG: dag is the core.Plan the job runs
+// — the dispatcher's release bookkeeping (core.PlanRun), the journal,
+// the partition push and the rollback plan all read its dependencies —
+// and nodes[i] is the install of dag.Nodes[i].
 type execPlan struct {
-	nodes    []execNode
-	depth    int
-	width    int
-	critical int
-	sparse   bool
-	dag      *core.Plan
+	dag   *core.Plan
+	nodes []execNode
+	depth int
 }
 
-// finish builds the bookkeeping DAG from the nodes' deps and derives
-// the per-node layers and the shape from it — core.Plan's layering is
-// the single implementation.
-func (p *execPlan) finish() {
-	p.dag = &core.Plan{Nodes: make([]core.PlanNode, len(p.nodes))}
-	for i := range p.nodes {
-		p.dag.Nodes[i] = core.PlanNode{Switch: p.nodes[i].node, Deps: p.nodes[i].deps}
+// newExecPlan pairs a DAG with its installs (one per DAG node, in DAG
+// order) and derives the per-node layers and the depth from it —
+// core.Plan's layering is the single implementation.
+func newExecPlan(dag *core.Plan, nodes []execNode) execPlan {
+	for i, l := range dag.NodeLayers() {
+		nodes[i].layer = l
 	}
-	for i, l := range p.dag.NodeLayers() {
-		p.nodes[i].layer = l
-	}
-	p.depth = p.dag.Depth()
-	p.width = p.dag.Width()
-	p.critical = p.dag.CriticalPath()
+	return execPlan{dag: dag, nodes: nodes, depth: dag.Depth()}
 }
 
-// layeredExecPlan converts barrier rounds to the equivalent layered
-// DAG — ack-driven dispatch of it is exactly the paper's round loop,
-// each round's sends released by the previous round's last barrier
-// reply. The dependency structure comes from core.PlanFromSchedule's
-// canonical conversion (one node per (round, switch)); this function
-// only attaches each node's FlowMods and cleanup flag.
-func layeredExecPlan(rounds []execRound) execPlan {
-	sched := &core.Schedule{Rounds: make([][]topo.NodeID, len(rounds))}
-	for r, round := range rounds {
-		sched.Rounds[r] = round.switches()
-	}
-	dag := core.PlanFromSchedule(sched)
-	var p execPlan
-	p.nodes = make([]execNode, len(dag.Nodes))
-	i := 0
-	for r, round := range rounds {
-		byNode := make(map[topo.NodeID]int, len(sched.Rounds[r]))
-		for range sched.Rounds[r] {
-			nd := dag.Nodes[i]
-			p.nodes[i] = execNode{node: nd.Switch, deps: nd.Deps, cleanup: round.cleanup}
-			byNode[nd.Switch] = i
-			i++
-		}
-		for _, m := range round.mods {
-			k := byNode[m.node]
-			p.nodes[k].mods = append(p.nodes[k].mods, m)
-		}
-	}
-	p.finish()
-	return p
+// recoveryRollback is a recovered job's rollback intent: the failure
+// cause, the down-closed dispatched prefix to undo, and the node set
+// the switches showed applied.
+type recoveryRollback struct {
+	cause      error
+	dispatched []bool
+	applied    []bool
 }
 
 // Job is one queued update: the REST message object of the paper,
@@ -247,6 +185,11 @@ type Job struct {
 	// release.
 	preConfirmed []bool
 
+	// recoveryRollback, set only on recovered jobs whose mid-flight
+	// state could not be adopted, sends the job straight to the
+	// verified abort path instead of dispatch.
+	recoveryRollback *recoveryRollback
+
 	mu       sync.Mutex
 	state    JobState
 	err      error
@@ -272,20 +215,14 @@ func (j *Job) NumInstalls() int { return len(j.plan.nodes) }
 
 // NumEdges returns the number of happens-before edges of the job's
 // execution DAG.
-func (j *Job) NumEdges() int {
-	e := 0
-	for _, nd := range j.plan.nodes {
-		e += len(nd.deps)
-	}
-	return e
-}
+func (j *Job) NumEdges() int { return j.plan.dag.NumEdges() }
 
 // PlanShape reports the execution DAG's shape: depth (layers), width
 // (peak install parallelism), critical path (sequential barrier waits
 // on the longest chain), and whether the DAG is sparse (ack-driven
 // past layer barriers) rather than layered.
 func (j *Job) PlanShape() (depth, width, critical int, sparse bool) {
-	return j.plan.depth, j.plan.width, j.plan.critical, j.plan.sparse
+	return j.plan.depth, j.plan.dag.Width(), j.plan.dag.CriticalPath(), j.plan.dag.Sparse
 }
 
 // State returns the job's current lifecycle state.
@@ -383,10 +320,8 @@ func (j *Job) footprint() {
 	j.nodes = make(map[topo.NodeID]struct{})
 	j.matches = make(map[openflow.Match]struct{})
 	for _, nd := range j.plan.nodes {
-		for _, m := range nd.mods {
-			j.nodes[m.node] = struct{}{}
-			j.matches[m.fm.Match] = struct{}{}
-		}
+		j.nodes[nd.node] = struct{}{}
+		j.matches[nd.fm.Match] = struct{}{}
 	}
 }
 
@@ -505,7 +440,6 @@ func admitSpec(job *Job) *journal.Admit {
 	dag := *job.plan.dag
 	dag.Algorithm = job.Algorithm
 	dag.Guarantees = spec.props
-	dag.Sparse = job.plan.sparse
 	a.Plan = core.EncodePlan(&dag)
 	return a
 }
@@ -605,21 +539,28 @@ func (e *Engine) RunningCount() int {
 }
 
 // Submit enqueues a single-policy update job for the instance using
-// the given schedule; the flow is identified by match.
+// the given schedule; the flow is identified by match. The schedule
+// runs as its lossless layered plan (core.PlanFromSchedule), which is
+// only well-formed for a valid schedule — an empty round would
+// silently merge its neighbours — so the schedule is checked first.
 func (e *Engine) Submit(in *core.Instance, s *core.Schedule, match openflow.Match, interval time.Duration) (*Job, error) {
-	return e.SubmitOpts(in, s, match, SubmitOptions{Interval: interval})
+	if err := s.Validate(in); err != nil {
+		return nil, fmt.Errorf("controller: schedule does not fit instance: %w", err)
+	}
+	return e.SubmitPlan(in, core.PlanFromSchedule(s), match, SubmitOptions{Interval: interval})
 }
 
 // SubmitOptions tunes job construction.
 type SubmitOptions struct {
-	// Interval pauses between rounds (the REST message's "interval").
+	// Interval pauses before each released non-root install (the REST
+	// message's "interval").
 	Interval time.Duration
 
-	// Cleanup appends a garbage-collection round after the update:
+	// Cleanup appends garbage-collection installs after the update:
 	// switches on the old path that are off the new path delete the
 	// flow's stale rule. Those switches are unreachable for the flow
-	// once the update completes, so the extra round cannot violate any
-	// transient property.
+	// once the update completes, so the extra installs cannot violate
+	// any transient property.
 	Cleanup bool
 
 	// Mode selects the dispatch path: ModeController (default) routes
@@ -629,28 +570,15 @@ type SubmitOptions struct {
 	Mode ExecMode
 }
 
-// SubmitOpts is Submit with full options.
-func (e *Engine) SubmitOpts(in *core.Instance, s *core.Schedule, match openflow.Match, opts SubmitOptions) (*Job, error) {
-	rounds, err := e.buildScheduleRounds(in, s, match, opts)
-	if err != nil {
-		return nil, err
-	}
-	return e.enqueue(jobSpec{
-		algorithm: s.Algorithm,
-		plan:      layeredExecPlan(rounds),
-		interval:  opts.Interval,
-		mode:      opts.Mode,
-		rollback:  &rollbackSpec{in: in, match: match, props: s.Guarantees},
-	})
-}
-
 // SubmitPlan enqueues a single-policy update job executing the given
 // dependency plan: each switch's FlowMod is issued the moment its
-// predecessors' barriers arrive. A layered plan behaves exactly like
-// SubmitOpts on the equivalent round schedule; a sparse plan lets
-// independent branches proceed past each other's stragglers.
+// predecessors' barriers arrive. A layered plan runs exactly the
+// paper's round loop; a sparse plan lets independent branches proceed
+// past each other's stragglers. The job keeps p as its execution DAG
+// (extended by cleanup nodes on request), so p must not be modified
+// afterwards.
 func (e *Engine) SubmitPlan(in *core.Instance, p *core.Plan, match openflow.Match, opts SubmitOptions) (*Job, error) {
-	ep, err := e.buildPlanNodes(in, p, match, opts)
+	ep, err := e.buildFlowPlan(in, p, match, opts.Cleanup)
 	if err != nil {
 		return nil, err
 	}
@@ -663,93 +591,93 @@ func (e *Engine) SubmitPlan(in *core.Instance, p *core.Plan, match openflow.Matc
 	})
 }
 
-// buildPlanNodes materializes a dependency plan for one flow: one
-// execution node per plan node, plus cleanup nodes (depending on every
-// sink, so stale-rule deletion happens strictly after the update)
-// when requested. Building is pure — nothing is admitted.
-func (e *Engine) buildPlanNodes(in *core.Instance, p *core.Plan, match openflow.Match, opts SubmitOptions) (execPlan, error) {
+// buildFlowPlan materializes a dependency plan for one flow: one
+// install per plan node, plus — when cleanup is set — the flow's
+// stale-rule deletions (see withCleanup). Building is pure — nothing
+// is admitted.
+func (e *Engine) buildFlowPlan(in *core.Instance, p *core.Plan, match openflow.Match, cleanup bool) (execPlan, error) {
 	if err := p.Validate(in); err != nil {
 		return execPlan{}, fmt.Errorf("controller: plan does not fit instance: %w", err)
 	}
-	ep := execPlan{sparse: p.Sparse, nodes: make([]execNode, 0, len(p.Nodes))}
-	for _, nd := range p.Nodes {
-		fm, err := e.updateFlowMod(in, nd.Switch, match)
-		if err != nil {
-			return execPlan{}, err
-		}
-		deps := make([]int, len(nd.Deps))
-		copy(deps, nd.Deps)
-		ep.nodes = append(ep.nodes, execNode{
-			node: nd.Switch,
-			mods: []targetedMod{{node: nd.Switch, fm: fm}},
-			deps: deps,
-		})
+	nodes, err := e.flowNodes(in, p, match, nil)
+	if err != nil {
+		return execPlan{}, err
 	}
-	if opts.Cleanup {
-		if r, ok := cleanupRound(in, match); ok {
-			sinks := planSinks(ep.nodes)
-			for _, m := range r.mods {
-				ep.nodes = append(ep.nodes, execNode{
-					node:    m.node,
-					mods:    []targetedMod{m},
-					deps:    sinks,
-					cleanup: true,
-				})
-			}
-		}
+	dag := p
+	if cleanup {
+		cl := cleanupNodes(in, match)
+		dag = withCleanup(p, cl)
+		nodes = append(nodes, cl...)
 	}
-	ep.finish()
-	return ep, nil
+	return newExecPlan(dag, nodes), nil
 }
 
-// planSinks returns the indices of nodes no other node depends on.
-func planSinks(nodes []execNode) []int {
-	hasSucc := make([]bool, len(nodes))
-	for _, nd := range nodes {
-		for _, d := range nd.deps {
+// flowNodes builds one flow's install for every node of dag: a delete
+// of the flow's rule where cleanup[i] is set, the update FlowMod toward
+// the switch's new-path successor otherwise (nil cleanup: no node is a
+// cleanup node).
+func (e *Engine) flowNodes(in *core.Instance, dag *core.Plan, match openflow.Match, cleanup []bool) ([]execNode, error) {
+	nodes := make([]execNode, len(dag.Nodes))
+	for i, nd := range dag.Nodes {
+		if i < len(cleanup) && cleanup[i] {
+			nodes[i] = execNode{node: nd.Switch, fm: deleteFlowMod(match), cleanup: true}
+			continue
+		}
+		fm, err := e.updateFlowMod(in, nd.Switch, match)
+		if err != nil {
+			return nil, err
+		}
+		nodes[i] = execNode{node: nd.Switch, fm: fm}
+	}
+	return nodes, nil
+}
+
+// cleanupNodes builds one flow's garbage-collection installs: delete
+// the flow's rule from old-path switches that are off the new path.
+func cleanupNodes(in *core.Instance, match openflow.Match) []execNode {
+	var out []execNode
+	for _, node := range in.Old {
+		if !in.OnNew(node) {
+			out = append(out, execNode{node: node, fm: deleteFlowMod(match), cleanup: true})
+		}
+	}
+	return out
+}
+
+// withCleanup returns dag extended by one node per cleanup install,
+// each depending on every sink of dag, so stale-rule deletion happens
+// strictly after the update. dag itself is not modified; with no
+// cleanup install it is returned as is.
+func withCleanup(dag *core.Plan, cleanup []execNode) *core.Plan {
+	if len(cleanup) == 0 {
+		return dag
+	}
+	hasSucc := make([]bool, len(dag.Nodes))
+	for _, nd := range dag.Nodes {
+		for _, d := range nd.Deps {
 			hasSucc[d] = true
 		}
 	}
 	var sinks []int
-	for i := range nodes {
+	for i := range dag.Nodes {
 		if !hasSucc[i] {
 			sinks = append(sinks, i)
 		}
 	}
-	return sinks
+	out := *dag
+	out.Nodes = slices.Clip(dag.Nodes)
+	for _, nd := range cleanup {
+		out.Nodes = append(out.Nodes, core.PlanNode{Switch: nd.node, Deps: sinks})
+	}
+	return &out
 }
 
-// buildScheduleRounds materializes a schedule's rounds for one flow:
-// the per-switch FlowMods plus the optional cleanup round. Building is
-// pure — nothing is admitted.
-func (e *Engine) buildScheduleRounds(in *core.Instance, s *core.Schedule, match openflow.Match, opts SubmitOptions) ([]execRound, error) {
-	if err := s.Validate(in); err != nil {
-		return nil, fmt.Errorf("controller: schedule does not fit instance: %w", err)
-	}
-	rounds := make([]execRound, 0, s.NumRounds()+1)
-	for _, round := range s.Rounds {
-		var r execRound
-		for _, node := range round {
-			fm, err := e.updateFlowMod(in, node, match)
-			if err != nil {
-				return nil, err
-			}
-			r.mods = append(r.mods, targetedMod{node: node, fm: fm})
-		}
-		rounds = append(rounds, r)
-	}
-	if opts.Cleanup {
-		if r, ok := cleanupRound(in, match); ok {
-			rounds = append(rounds, r)
-		}
-	}
-	return rounds, nil
-}
-
-// SubmitJoint enqueues several policies as one job: per joint round,
-// every flow's FlowMods for that round are sent together (switches
-// shared by multiple flows receive their batch in one burst), then the
-// union of touched switches is barriered once.
+// SubmitJoint enqueues several policies as one job. Per joint round,
+// every flow's FlowMod at every switch is its own install, and the
+// joint rounds become a layered DAG (core.PlanFromSchedule): a round's
+// installs are released together by the previous round's last barrier
+// reply, and a switch that several flows update in one round receives
+// their FlowMods, each with its barrier, in one coalesced write.
 func (e *Engine) SubmitJoint(ju *core.JointUpdate, matches []openflow.Match, opts SubmitOptions) (*Job, error) {
 	if len(matches) != len(ju.Instances) {
 		return nil, fmt.Errorf("controller: %d matches for %d policies", len(matches), len(ju.Instances))
@@ -760,43 +688,40 @@ func (e *Engine) SubmitJoint(ju *core.JointUpdate, matches []openflow.Match, opt
 		}
 	}
 	numRounds := ju.NumRounds()
-	rounds := make([]execRound, 0, numRounds+1)
-	for i := 0; i < numRounds; i++ {
-		var r execRound
+	sched := &core.Schedule{Rounds: make([][]topo.NodeID, numRounds)}
+	var nodes []execNode
+	for i := range sched.Rounds {
 		// Deterministic order: by switch, then by flow.
 		byNode := ju.Round(i)
-		nodes := make([]topo.NodeID, 0, len(byNode))
+		switches := make([]topo.NodeID, 0, len(byNode))
 		for n := range byNode {
-			nodes = append(nodes, n)
+			switches = append(switches, n)
 		}
-		sort.Slice(nodes, func(a, b int) bool { return nodes[a] < nodes[b] })
-		for _, n := range nodes {
+		slices.Sort(switches)
+		for _, n := range switches {
 			for _, fu := range byNode[n] {
 				fm, err := e.updateFlowMod(ju.Instances[fu.Flow], n, matches[fu.Flow])
 				if err != nil {
 					return nil, err
 				}
-				r.mods = append(r.mods, targetedMod{node: n, fm: fm})
+				nodes = append(nodes, execNode{node: n, fm: fm})
+				sched.Rounds[i] = append(sched.Rounds[i], n)
 			}
 		}
-		rounds = append(rounds, r)
 	}
+	dag := core.PlanFromSchedule(sched)
 	if opts.Cleanup {
-		var cr execRound
+		var cl []execNode
 		for f, in := range ju.Instances {
-			if r, ok := cleanupRound(in, matches[f]); ok {
-				cr.mods = append(cr.mods, r.mods...)
-			}
+			cl = append(cl, cleanupNodes(in, matches[f])...)
 		}
-		if len(cr.mods) > 0 {
-			cr.cleanup = true
-			rounds = append(rounds, cr)
-		}
+		dag = withCleanup(dag, cl)
+		nodes = append(nodes, cl...)
 	}
-	return e.enqueue(jobSpec{algorithm: "joint-" + ju.Schedules[0].Algorithm, plan: layeredExecPlan(rounds), interval: opts.Interval, mode: opts.Mode})
+	return e.enqueue(jobSpec{algorithm: "joint-" + ju.Schedules[0].Algorithm, plan: newExecPlan(dag, nodes), interval: opts.Interval, mode: opts.Mode})
 }
 
-// updateFlowMod builds the round FlowMod for one switch of one flow:
+// updateFlowMod builds the update FlowMod for one switch of one flow:
 // point the flow at the switch's new-path successor. MODIFY is used
 // (the rule exists under the old policy); for new-path-only switches
 // the OF 1.0 MODIFY semantics insert the missing rule.
@@ -808,27 +733,16 @@ func (e *Engine) updateFlowMod(in *core.Instance, node topo.NodeID, match openfl
 	return e.c.PathFlowMod(node, succ, match, openflow.FlowModify)
 }
 
-// cleanupRound builds the garbage-collection round: delete the flow's
-// rule from old-path switches that are off the new path.
-func cleanupRound(in *core.Instance, match openflow.Match) (execRound, bool) {
-	var r execRound
-	for _, node := range in.Old {
-		if in.OnNew(node) {
-			continue
-		}
-		fm := &openflow.FlowMod{
-			Match:    match,
-			Command:  openflow.FlowDelete,
-			BufferID: openflow.NoBuffer,
-			OutPort:  openflow.PortNone,
-		}
-		r.mods = append(r.mods, targetedMod{node: node, fm: fm})
+// deleteFlowMod builds the FlowMod that removes the flow's rule from a
+// switch — the cleanup install, and the undo of an install at a
+// new-path-only switch.
+func deleteFlowMod(match openflow.Match) *openflow.FlowMod {
+	return &openflow.FlowMod{
+		Match:    match,
+		Command:  openflow.FlowDelete,
+		BufferID: openflow.NoBuffer,
+		OutPort:  openflow.PortNone,
 	}
-	if len(r.mods) == 0 {
-		return execRound{}, false
-	}
-	r.cleanup = true
-	return r, true
 }
 
 // jobSpec is one prepared submission: execution DAG built, not yet
@@ -950,7 +864,7 @@ func (e *Engine) run(ctx context.Context) {
 }
 
 // runJob drives one job: wait for conflicting predecessors, claim a
-// worker slot, execute the rounds, release.
+// worker slot, execute the DAG (or a recovered rollback), release.
 func (e *Engine) runJob(ctx context.Context, job *Job, deps []<-chan struct{}) {
 	for _, d := range deps {
 		select {
@@ -972,16 +886,26 @@ func (e *Engine) runJob(ctx context.Context, job *Job, deps []<-chan struct{}) {
 	e.queued--
 	e.running++
 	e.mu.Unlock()
-	// An adopted decentralized job resumes controller-driven: the
-	// switches' plan agents lost their peer protocol state with the old
-	// controller process, but the update FlowMods are idempotent
-	// MODIFYs, so ack-driven dispatch from the recovered frontier is
-	// safe and makes progress. The pprof label tags the job's event
-	// loop (and everything it blocks on) in CPU and goroutine profiles.
+	// A recovered job whose state could not be adopted goes straight
+	// to the abort path: its reverse plan is verified before execution,
+	// exactly like any mid-plan abort. An adopted decentralized job
+	// resumes controller-driven: the switches' plan agents lost their
+	// peer protocol state with the old controller process, but the
+	// update FlowMods are idempotent MODIFYs, so ack-driven dispatch
+	// from the recovered frontier is safe and makes progress. The pprof
+	// label tags the job's event loop (and everything it blocks on) in
+	// CPU and goroutine profiles.
+	job.mu.Lock()
+	job.state = JobRunning
+	job.started = e.c.clock.Now()
+	job.mu.Unlock()
 	pprof.Do(ctx, pprof.Labels("tsu_job", strconv.Itoa(job.ID)), func(ctx context.Context) {
-		if job.Mode == ModeDecentralized && !job.Adopted {
+		switch rb := job.recoveryRollback; {
+		case rb != nil:
+			e.abort(ctx, job, rb.cause, rb.dispatched, rb.applied)
+		case job.Mode == ModeDecentralized && !job.Adopted:
 			e.executeDecentralized(ctx, job)
-		} else {
+		default:
 			e.execute(ctx, job)
 		}
 	})
@@ -1032,16 +956,34 @@ func publishLocked(j *Job, ev JobEvent) {
 	}
 }
 
-// fail marks the job failed and notifies waiters and subscribers.
-func (e *Engine) fail(job *Job, err error) {
+// finish moves the job to its terminal state — JobDone for a nil err,
+// JobFailed otherwise, with the abort report when there is one — and
+// notifies waiters and subscribers.
+func (e *Engine) finish(job *Job, err error, report *FailureReport) {
 	e.journalTerminal(job, err)
 	job.mu.Lock()
-	job.state = JobFailed
+	job.state = JobDone
+	if err != nil {
+		job.state = JobFailed
+	}
 	job.err = err
+	job.failure = report
 	job.finished = e.c.clock.Now()
-	publishLocked(job, JobEvent{State: JobFailed, Err: err})
+	publishLocked(job, JobEvent{State: job.state, Err: err})
 	job.mu.Unlock()
 	close(job.done)
+}
+
+// complete marks the job done.
+func (e *Engine) complete(job *Job) {
+	e.finish(job, nil, nil)
+	e.c.logger.Info("update job done", "job", job.ID, "mode", job.Mode.String(),
+		"installs", len(job.plan.nodes), "depth", job.plan.depth, "sparse", job.plan.dag.Sparse)
+}
+
+// fail marks the job failed.
+func (e *Engine) fail(job *Job, err error) {
+	e.finish(job, err, nil)
 	e.c.logger.Warn("update job failed", "job", job.ID, "err", err)
 }
 
@@ -1057,7 +999,6 @@ func (e *Engine) fail(job *Job, err error) {
 type nodeAck struct {
 	job      int
 	idx      int
-	flowMods int
 	started  time.Time
 	finished time.Time
 	sent     bool
@@ -1082,25 +1023,10 @@ type nodeAck struct {
 // values from the connection read loops. Steady state the loop spawns
 // no goroutines and allocates nothing per install.
 func (e *Engine) execute(ctx context.Context, job *Job) {
-	job.mu.Lock()
-	job.state = JobRunning
-	job.started = e.c.clock.Now()
-	job.mu.Unlock()
-
-	n := len(job.plan.nodes)
-	if n > 0 && !e.runDAG(ctx, job) {
+	if len(job.plan.nodes) > 0 && !e.runDAG(ctx, job) {
 		return // terminal state already published by runDAG
 	}
-
-	e.journalTerminal(job, nil)
-	job.mu.Lock()
-	job.state = JobDone
-	job.finished = e.c.clock.Now()
-	publishLocked(job, JobEvent{State: JobDone})
-	job.mu.Unlock()
-	close(job.done)
-	e.c.logger.Info("update job done", "job", job.ID,
-		"installs", n, "depth", job.plan.depth, "sparse", job.plan.sparse)
+	e.complete(job)
 }
 
 // runDAG is the job's dispatch event loop. It returns true when every
@@ -1361,14 +1287,14 @@ func (e *Engine) handleAck(ctx context.Context, job *Job, st *jobDispatch, prog 
 	// confirmed between the error and the fence did take effect.
 	st.confirmed[i] = true
 	e.journalDelta(journal.KindConfirmed, job.ID, i)
-	// Control messages per confirmed install: the FlowMods plus the
+	// Control messages per confirmed install: the FlowMod plus the
 	// barrier request and its reply.
-	job.addMessages(nd.node, MessageStats{Ctrl: a.flowMods + 2})
+	job.addMessages(nd.node, MessageStats{Ctrl: 3})
 	rel := prog.confirm(i, InstallTiming{
 		Node:       nd.node,
 		Layer:      nd.layer,
 		ReleasedBy: st.releasedBy[i],
-		FlowMods:   a.flowMods,
+		FlowMods:   1,
 		Cleanup:    nd.cleanup,
 		Started:    a.started,
 		Finished:   a.finished,

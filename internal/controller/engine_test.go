@@ -2,6 +2,7 @@ package controller
 
 import (
 	"context"
+	"reflect"
 	"testing"
 	"time"
 
@@ -24,7 +25,7 @@ func TestCleanupRoundRemovesStaleRules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	job, err := tb.ctrl.Engine().SubmitOpts(in, sched, flowMatch("10.0.0.2"), SubmitOptions{Cleanup: true})
+	job, err := tb.ctrl.Engine().SubmitPlan(in, core.PlanFromSchedule(sched), flowMatch("10.0.0.2"), SubmitOptions{Cleanup: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,7 @@ func TestCleanupSkippedWhenNothingStale(t *testing.T) {
 	}
 	in := core.MustInstance(old, old, 0)
 	sched := core.OneShot(in) // zero rounds: nothing pending
-	job, err := tb.ctrl.Engine().SubmitOpts(in, sched, flowMatch("10.0.0.2"), SubmitOptions{Cleanup: true})
+	job, err := tb.ctrl.Engine().SubmitPlan(in, core.PlanFromSchedule(sched), flowMatch("10.0.0.2"), SubmitOptions{Cleanup: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,6 +140,41 @@ func TestSubmitJointTwoFlows(t *testing.T) {
 	}
 	if want := ju.TotalFlowMods(); total < want {
 		t.Fatalf("flowmods executed %d < scheduled %d", total, want)
+	}
+
+	// One install per (flow, switch), plus each flow's cleanup nodes:
+	// a switch both flows update in one joint round gets two installs
+	// in that layer.
+	cleanup := 0
+	for _, in := range ju.Instances {
+		for _, n := range in.Old {
+			if !in.OnNew(n) {
+				cleanup++
+			}
+		}
+	}
+	if want := ju.TotalFlowMods() + cleanup; job.NumInstalls() != want || len(job.Installs()) != want {
+		t.Fatalf("installs = %d (%d confirmed), want %d updates + %d cleanup",
+			job.NumInstalls(), len(job.Installs()), ju.TotalFlowMods(), cleanup)
+	}
+	type slot struct {
+		layer int
+		node  topo.NodeID
+	}
+	got := make(map[slot]int)
+	for _, it := range job.Installs() {
+		if !it.Cleanup {
+			got[slot{it.Layer, it.Node}]++
+		}
+	}
+	want := make(map[slot]int)
+	for i := 0; i < ju.NumRounds(); i++ {
+		for n, fus := range ju.Round(i) {
+			want[slot{i, n}] = len(fus)
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("installs per (layer, switch) = %v, want %v", got, want)
 	}
 }
 

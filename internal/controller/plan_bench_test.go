@@ -144,7 +144,7 @@ func benchmarkPlanDispatch(b *testing.B, sparse bool, mode ExecMode) {
 		if sparse {
 			job, err = tb.ctrl.Engine().SubmitPlan(fwd, plan, match, SubmitOptions{Mode: mode})
 		} else {
-			job, err = tb.ctrl.Engine().SubmitOpts(fwd, sched, match, SubmitOptions{Mode: mode})
+			job, err = tb.ctrl.Engine().SubmitPlan(fwd, core.PlanFromSchedule(sched), match, SubmitOptions{Mode: mode})
 		}
 		if err != nil {
 			b.Fatal(err)

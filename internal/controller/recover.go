@@ -77,20 +77,6 @@ type recoveredJob struct {
 	errMsg     string
 }
 
-// relaunch is one live recovered job ready to run: either via the
-// normal dispatcher (requeued/adopted) or via the rollback path.
-type relaunch struct {
-	job  *Job
-	deps []<-chan struct{}
-
-	// rollback, when set, routes the job to the abort path instead of
-	// the dispatcher, with the recovered dispatched/applied sets.
-	rollback   bool
-	dispatched []bool
-	applied    []bool
-	cause      error
-}
-
 // Recover replays the configured journal and brings every journaled
 // job back: terminal jobs become queryable stubs, untouched jobs are
 // re-admitted, and mid-flight jobs are reconciled against live switch
@@ -150,7 +136,7 @@ func (e *Engine) Recover(ctx context.Context) (RecoveryStats, error) {
 	}
 	e.mu.Unlock()
 
-	var launches []*relaunch
+	var launches []*launch
 	var compacted []journal.Record
 	for _, rj := range order {
 		if rj.admit == nil {
@@ -182,14 +168,13 @@ func (e *Engine) Recover(ctx context.Context) (RecoveryStats, error) {
 			continue
 		}
 		metrics.JobsRecovered.Inc()
-		l := &relaunch{job: job}
 		if len(rj.dispatched) == 0 {
 			// Write-ahead discipline: no dispatched record means no
 			// FlowMod left for this job. Re-admit it untouched.
 			stats.Requeued++
 		} else {
-			e.reconcile(ctx, rj, l)
-			if l.rollback {
+			e.reconcile(ctx, rj, job)
+			if job.recoveryRollback != nil {
 				stats.RolledBack++
 				metrics.RecoveryRollbacks.Inc()
 			} else {
@@ -197,8 +182,8 @@ func (e *Engine) Recover(ctx context.Context) (RecoveryStats, error) {
 				metrics.JobsAdopted.Inc()
 			}
 		}
-		launches = append(launches, l)
-		compacted = append(compacted, liveRecords(rj, l)...)
+		launches = append(launches, &launch{job: job})
+		compacted = append(compacted, liveRecords(rj, job)...)
 	}
 
 	// Admit the live jobs in id order, conflict deps recomputed exactly
@@ -225,11 +210,7 @@ func (e *Engine) Recover(ctx context.Context) (RecoveryStats, error) {
 	}
 
 	for _, l := range launches {
-		if l.rollback {
-			go e.runRecoveryRollback(ctx, l)
-		} else {
-			go e.runJob(ctx, l.job, l.deps)
-		}
+		go e.runJob(ctx, l.job, l.deps)
 	}
 	return stats, nil
 }
@@ -248,12 +229,14 @@ func (e *Engine) Recovery() (RecoveryStats, bool) {
 // addStub registers a terminal job reconstructed from the journal so
 // the API keeps answering for it across the restart. A non-nil report
 // marks the job failed-by-restart regardless of its journaled outcome.
+// Stubs carry an empty plan: nothing of theirs executes again.
 func (e *Engine) addStub(rj *recoveredJob, report *FailureReport) {
 	job := &Job{
 		ID:        rj.id,
 		Algorithm: rj.admit.Algorithm,
 		Interval:  rj.admit.Interval,
 		Mode:      ExecMode(rj.admit.Mode),
+		plan:      execPlan{dag: &core.Plan{}},
 		Recovered: true,
 		done:      make(chan struct{}),
 	}
@@ -299,44 +282,27 @@ func (e *Engine) rebuildJob(rj *recoveredJob) (*Job, error) {
 	if err != nil {
 		return nil, fmt.Errorf("plan: %w", err)
 	}
-	cleanup := make(map[int]bool, len(a.Cleanup))
+	cleanup := make([]bool, len(dag.Nodes))
 	for _, i := range a.Cleanup {
+		if i < 0 || i >= len(cleanup) {
+			return nil, fmt.Errorf("cleanup node %d outside the %d-node plan", i, len(cleanup))
+		}
 		cleanup[i] = true
 	}
-	// Rebuild the exec DAG directly from the journaled plan rather than
-	// re-running the schedule/plan builders: the journaled DAG covers
-	// the cleanup nodes with their recorded dependencies, so the
-	// recovered job executes exactly the plan that was running.
-	ep := execPlan{sparse: dag.Sparse, nodes: make([]execNode, 0, len(dag.Nodes))}
-	for i, nd := range dag.Nodes {
-		var fm *openflow.FlowMod
-		if cleanup[i] {
-			fm = &openflow.FlowMod{
-				Match:    match,
-				Command:  openflow.FlowDelete,
-				BufferID: openflow.NoBuffer,
-				OutPort:  openflow.PortNone,
-			}
-		} else {
-			fm, err = e.updateFlowMod(in, nd.Switch, match)
-			if err != nil {
-				return nil, err
-			}
-		}
-		ep.nodes = append(ep.nodes, execNode{
-			node:    nd.Switch,
-			mods:    []targetedMod{{node: nd.Switch, fm: fm}},
-			deps:    append([]int(nil), nd.Deps...),
-			cleanup: cleanup[i],
-		})
+	// Execute the journaled DAG itself rather than re-running the
+	// schedule/plan builders: it covers the cleanup nodes with their
+	// recorded dependencies, so the recovered job executes exactly the
+	// plan that was running.
+	nodes, err := e.flowNodes(in, dag, match, cleanup)
+	if err != nil {
+		return nil, err
 	}
-	ep.finish()
 	job := &Job{
 		ID:        rj.id,
 		Algorithm: a.Algorithm,
 		Interval:  a.Interval,
 		Mode:      ExecMode(a.Mode),
-		plan:      ep,
+		plan:      newExecPlan(dag, nodes),
 		rollback:  &rollbackSpec{in: in, match: match, props: core.Property(a.Props)},
 		Recovered: true,
 		done:      make(chan struct{}),
@@ -351,10 +317,10 @@ func nwDstIP(v uint32) net.IP {
 }
 
 // reconcile decides a mid-flight job's fate by querying its switches
-// and fills the relaunch accordingly: adopt (preConfirmed frontier)
-// or rollback (dispatched prefix + applied set for the abort path).
-func (e *Engine) reconcile(ctx context.Context, rj *recoveredJob, l *relaunch) {
-	job := l.job
+// and marks the job accordingly: adopt (preConfirmed frontier) or
+// rollback (recoveryRollback: dispatched prefix + applied set for the
+// abort path).
+func (e *Engine) reconcile(ctx context.Context, rj *recoveredJob, job *Job) {
 	n := len(job.plan.nodes)
 	jdispatched := make([]bool, n)
 	jconfirmed := make([]bool, n)
@@ -385,11 +351,12 @@ func (e *Engine) reconcile(ctx context.Context, rj *recoveredJob, l *relaunch) {
 	for i := range union {
 		union[i] = jdispatched[i] || applied[i] || agentDone[i]
 	}
-	l.rollback = true
-	l.dispatched = downClosure(job.plan.dag, union)
-	l.applied = applied
-	l.cause = fmt.Errorf("controller restart: mid-flight state not adoptable (%d/%d switches reported, %d applied)",
-		len(reports), len(planSwitches(job)), countSet(applied))
+	job.recoveryRollback = &recoveryRollback{
+		cause: fmt.Errorf("controller restart: mid-flight state not adoptable (%d/%d switches reported, %d applied)",
+			len(reports), len(planSwitches(job)), countSet(applied)),
+		dispatched: downClosure(job.plan.dag, union),
+		applied:    applied,
+	}
 	e.c.logger.Info("recovery: rolling back job", "job", job.ID,
 		"reported", len(reports), "applied", countSet(applied))
 }
@@ -525,17 +492,18 @@ func countSet(set []bool) int {
 // liveRecords builds a live job's compacted journal records: its
 // admission plus the dispatched/confirmed deltas of its recovered
 // frontier.
-func liveRecords(rj *recoveredJob, l *relaunch) []journal.Record {
+func liveRecords(rj *recoveredJob, job *Job) []journal.Record {
 	recs := []journal.Record{{Kind: journal.KindAdmit, Job: rj.id, Admit: rj.admit}}
-	n := len(l.job.plan.nodes)
+	rb := job.recoveryRollback
+	n := len(job.plan.nodes)
 	var batch []int // dispatched frontier, ascending: one grouped record
 	for i := 0; i < n; i++ {
-		confirmed := i < len(l.job.preConfirmed) && l.job.preConfirmed[i]
-		if l.rollback {
-			confirmed = i < len(l.applied) && l.applied[i]
+		confirmed := i < len(job.preConfirmed) && job.preConfirmed[i]
+		if rb != nil {
+			confirmed = i < len(rb.applied) && rb.applied[i]
 		}
 		dispatched := rj.dispatched[i] || confirmed ||
-			(l.rollback && i < len(l.dispatched) && l.dispatched[i])
+			(rb != nil && i < len(rb.dispatched) && rb.dispatched[i])
 		if dispatched {
 			batch = append(batch, i)
 		}
@@ -547,39 +515,4 @@ func liveRecords(rj *recoveredJob, l *relaunch) []journal.Record {
 		recs = append(recs, journal.Record{Kind: journal.KindDispatchedBatch, Job: rj.id, Nodes: batch})
 	}
 	return recs
-}
-
-// runRecoveryRollback drives a recovered job straight into the abort
-// path with the same dependency-wait and worker-slot discipline as a
-// normal run: the reverse plan is verified before execution, exactly
-// like any mid-plan abort.
-func (e *Engine) runRecoveryRollback(ctx context.Context, l *relaunch) {
-	job := l.job
-	for _, d := range l.deps {
-		select {
-		case <-d:
-		case <-ctx.Done():
-			e.fail(job, ctx.Err())
-			e.retire(job, false)
-			return
-		}
-	}
-	select {
-	case e.sem <- struct{}{}:
-	case <-ctx.Done():
-		e.fail(job, ctx.Err())
-		e.retire(job, false)
-		return
-	}
-	e.mu.Lock()
-	e.queued--
-	e.running++
-	e.mu.Unlock()
-	job.mu.Lock()
-	job.state = JobRunning
-	job.started = e.c.clock.Now()
-	job.mu.Unlock()
-	e.abort(ctx, job, l.cause, l.dispatched, l.applied)
-	<-e.sem
-	e.retire(job, true)
 }

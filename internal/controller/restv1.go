@@ -267,38 +267,30 @@ func accepted(p *plannedUpdate, job *Job) api.AcceptedUpdate {
 }
 
 // prepareSpec builds one planned update's execution DAG (no
-// admission): two-phase and layered plans go through the round
-// builders, sparse plans through the per-node builder.
+// admission): two-phase entries through the two-phase builder, every
+// scheduled entry by executing p.DAG — the plan the response reports.
 func (c *Controller) prepareSpec(p *plannedUpdate, opts SubmitOptions) (jobSpec, error) {
-	var ep execPlan
-	var err error
-	algo := p.Algo
-	switch {
-	case p.Sched == nil:
-		algo = "two-phase"
-		var rounds []execRound
-		if rounds, err = c.engine.buildTwoPhaseRounds(p.In, p.Match, TwoPhaseTag, opts); err == nil {
-			ep = layeredExecPlan(rounds)
+	if p.Sched == nil {
+		ep, err := c.engine.buildTwoPhase(p.In, p.Match, TwoPhaseTag, opts.Cleanup)
+		if err != nil {
+			return jobSpec{}, errf(http.StatusBadRequest, api.CodeBadRequest, "%v", err)
 		}
-	case p.DAG != nil && p.DAG.Sparse:
-		ep, err = c.engine.buildPlanNodes(p.In, p.DAG, p.Match, opts)
-	default:
-		var rounds []execRound
-		if rounds, err = c.engine.buildScheduleRounds(p.In, p.Sched, p.Match, opts); err == nil {
-			ep = layeredExecPlan(rounds)
-		}
+		// Two-phase jobs are not reversible mid-plan — their tagged mods
+		// have no reverse plan, matching SubmitTwoPhase.
+		return jobSpec{algorithm: "two-phase", plan: ep, interval: opts.Interval, mode: p.Mode}, nil
 	}
+	ep, err := c.engine.buildFlowPlan(p.In, p.DAG, p.Match, opts.Cleanup)
 	if err != nil {
 		return jobSpec{}, errf(http.StatusBadRequest, api.CodeBadRequest, "%v", err)
 	}
-	spec := jobSpec{algorithm: algo, plan: ep, interval: opts.Interval, mode: p.Mode}
-	// Scheduled updates are reversible mid-plan (see SubmitOpts/
-	// SubmitPlan); two-phase jobs are not — their tagged mods have no
-	// reverse plan, matching SubmitTwoPhase.
-	if p.Sched != nil {
-		spec.rollback = &rollbackSpec{in: p.In, match: p.Match, props: p.Sched.Guarantees}
-	}
-	return spec, nil
+	// Scheduled updates are reversible mid-plan, as with SubmitPlan.
+	return jobSpec{
+		algorithm: p.Algo,
+		plan:      ep,
+		interval:  opts.Interval,
+		mode:      p.Mode,
+		rollback:  &rollbackSpec{in: p.In, match: p.Match, props: p.Sched.Guarantees},
+	}, nil
 }
 
 // submitPlanned builds and admits a group of planned updates

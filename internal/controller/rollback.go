@@ -158,7 +158,7 @@ func (e *Engine) verifyRollback(job *Job, spec *rollbackSpec, dispatched []bool)
 	fwd := &core.Plan{
 		Algorithm:  job.Algorithm,
 		Guarantees: props,
-		Sparse:     job.plan.sparse,
+		Sparse:     job.plan.dag.Sparse,
 		Nodes:      job.plan.dag.Nodes[:k],
 	}
 	rev, _, err := fwd.Reverse(dispatched[:k])
@@ -215,7 +215,7 @@ func (e *Engine) executeRollback(ctx context.Context, job *Job, spec *rollbackSp
 			failure = fmt.Errorf("rollback at %d: sending flowmod: %w", node, err)
 			return
 		}
-		if _, err := e.c.sendBarrier(uint64(node), barrierSink{acks: acks, idx: int32(j), flowMods: 1}); err != nil {
+		if _, err := e.c.sendBarrier(uint64(node), barrierSink{acks: acks, idx: int32(j)}); err != nil {
 			failure = fmt.Errorf("rollback at %d: barrier: %w", node, err)
 			return
 		}
@@ -253,7 +253,7 @@ func (e *Engine) executeRollback(ctx context.Context, job *Job, spec *rollbackSp
 			pending[a.idx] = false
 			inflight--
 			node := rev.Nodes[a.idx].Switch
-			job.addMessages(node, MessageStats{Ctrl: a.flowMods + 2})
+			job.addMessages(node, MessageStats{Ctrl: 3})
 			metrics.InstallsRolledBack.Inc()
 			rolledBack = append(rolledBack, node)
 			undone[fwd[a.idx]] = true
@@ -285,26 +285,13 @@ func (e *Engine) undoFlowMod(in *core.Instance, node topo.NodeID, match openflow
 	if succ, ok := in.OldSucc(node); ok {
 		return e.c.PathFlowMod(node, succ, match, openflow.FlowModify)
 	}
-	return &openflow.FlowMod{
-		Match:    match,
-		Command:  openflow.FlowDelete,
-		BufferID: openflow.NoBuffer,
-		OutPort:  openflow.PortNone,
-	}, nil
+	return deleteFlowMod(match), nil
 }
 
 // failWithReport marks the job failed with a structured failure
 // report attached.
 func (e *Engine) failWithReport(job *Job, err error, report *FailureReport) {
-	e.journalTerminal(job, err)
-	job.mu.Lock()
-	job.state = JobFailed
-	job.err = err
-	job.failure = report
-	job.finished = e.c.clock.Now()
-	publishLocked(job, JobEvent{State: JobFailed, Err: err})
-	job.mu.Unlock()
-	close(job.done)
+	e.finish(job, err, report)
 	e.c.logger.Warn("update job aborted", "job", job.ID, "phase", report.Phase,
 		"installed", len(report.Installed), "rolledBack", len(report.RolledBack), "err", err)
 }

@@ -30,7 +30,7 @@ func submitAbortJob(t *testing.T, tb *testbed, mode ExecMode) (*Job, *core.Sched
 	if err != nil {
 		t.Fatal(err)
 	}
-	job, err := tb.ctrl.Engine().SubmitOpts(in, sched, flowMatch("10.0.0.2"), SubmitOptions{Mode: mode})
+	job, err := tb.ctrl.Engine().SubmitPlan(in, core.PlanFromSchedule(sched), flowMatch("10.0.0.2"), SubmitOptions{Mode: mode})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 
 	"tsu/internal/core"
 	"tsu/internal/openflow"
+	"tsu/internal/topo"
 )
 
 // SubmitTwoPhase enqueues the update as a tagged two-phase commit —
@@ -30,21 +31,22 @@ import (
 // the trade the update literature attributes to Reitblatt et al.'s
 // two-phase mechanism.
 func (e *Engine) SubmitTwoPhase(in *core.Instance, match openflow.Match, tag uint16, opts SubmitOptions) (*Job, error) {
-	rounds, err := e.buildTwoPhaseRounds(in, match, tag, opts)
+	ep, err := e.buildTwoPhase(in, match, tag, opts.Cleanup)
 	if err != nil {
 		return nil, err
 	}
-	return e.enqueue(jobSpec{algorithm: "two-phase", plan: layeredExecPlan(rounds), interval: opts.Interval, mode: opts.Mode})
+	return e.enqueue(jobSpec{algorithm: "two-phase", plan: ep, interval: opts.Interval, mode: opts.Mode})
 }
 
-// buildTwoPhaseRounds materializes the prepare/commit(/cleanup) rounds
-// without admitting anything.
-func (e *Engine) buildTwoPhaseRounds(in *core.Instance, match openflow.Match, tag uint16, opts SubmitOptions) ([]execRound, error) {
+// buildTwoPhase materializes the prepare/commit(/cleanup) phases as a
+// layered DAG (core.PlanFromSchedule over the phases) without
+// admitting anything.
+func (e *Engine) buildTwoPhase(in *core.Instance, match openflow.Match, tag uint16, cleanup bool) (execPlan, error) {
 	if tag == openflow.VLANNone {
-		return nil, fmt.Errorf("controller: tag 0x%04x is reserved for untagged traffic", openflow.VLANNone)
+		return execPlan{}, fmt.Errorf("controller: tag 0x%04x is reserved for untagged traffic", openflow.VLANNone)
 	}
 	if match.Wildcards&openflow.WildcardDLVLAN == 0 {
-		return nil, fmt.Errorf("controller: the flow match must not already pin a VLAN")
+		return execPlan{}, fmt.Errorf("controller: the flow match must not already pin a VLAN")
 	}
 	src := in.Src()
 
@@ -56,40 +58,43 @@ func (e *Engine) buildTwoPhaseRounds(in *core.Instance, match openflow.Match, ta
 	// switch except the ingress (the ingress tags-and-forwards in
 	// phase 2; a tagged rule there would never match, since packets
 	// arrive untagged).
-	var prepare execRound
+	var prepare []topo.NodeID
+	var nodes []execNode
 	for i := 1; i+1 < len(in.New); i++ {
 		node := in.New[i]
 		succ, _ := in.NewSucc(node)
 		fm, err := e.c.PathFlowMod(node, succ, tagged, openflow.FlowAdd)
 		if err != nil {
-			return nil, err
+			return execPlan{}, err
 		}
 		fm.Priority = e.c.cfg.FlowPriority + 10
-		prepare.mods = append(prepare.mods, targetedMod{node: node, fm: fm})
+		prepare = append(prepare, node)
+		nodes = append(nodes, execNode{node: node, fm: fm})
 	}
 
 	// Phase 2: flip the ingress — tag, then forward toward the new
 	// path's first hop.
 	succ, ok := in.NewSucc(src)
 	if !ok {
-		return nil, fmt.Errorf("controller: source %d has no new-path successor", src)
+		return execPlan{}, fmt.Errorf("controller: source %d has no new-path successor", src)
 	}
 	commit, err := e.c.PathFlowMod(src, succ, match, openflow.FlowModify)
 	if err != nil {
-		return nil, err
+		return execPlan{}, err
 	}
 	commit.Actions = append([]openflow.Action{openflow.ActionSetVLAN{VLAN: tag}}, commit.Actions...)
-	commitRound := execRound{mods: []targetedMod{{node: src, fm: commit}}}
+	nodes = append(nodes, execNode{node: src, fm: commit})
 
-	rounds := []execRound{}
-	if len(prepare.mods) > 0 {
-		rounds = append(rounds, prepare)
+	phases := &core.Schedule{}
+	if len(prepare) > 0 {
+		phases.Rounds = append(phases.Rounds, prepare)
 	}
-	rounds = append(rounds, commitRound)
-	if opts.Cleanup {
-		if r, ok := cleanupRound(in, match); ok {
-			rounds = append(rounds, r)
-		}
+	phases.Rounds = append(phases.Rounds, []topo.NodeID{src})
+	dag := core.PlanFromSchedule(phases)
+	if cleanup {
+		cl := cleanupNodes(in, match)
+		dag = withCleanup(dag, cl)
+		nodes = append(nodes, cl...)
 	}
-	return rounds, nil
+	return newExecPlan(dag, nodes), nil
 }

@@ -674,13 +674,10 @@ func sparseSafe(in *Instance, p *Plan, s *Schedule) bool {
 	if walkProps == 0 {
 		return true
 	}
-	if ok, complete := planWalkCheck(in, p, walkProps, maxSparseCheckStates); complete {
-		return ok
-	}
-	// Ideal space past the exhaustive budget: soundness rests on the
-	// walk-projection argument; the seeded spot-check guards the
-	// implementation.
-	return planSpotCheck(in, p, walkProps)
+	// Past the exhaustive budget, soundness rests on the walk-projection
+	// argument; the seeded spot-check guards the implementation.
+	cex, _ := p.CheckIdeals(in, walkProps, maxSparseCheckStates, sparseSpotSamples, 1)
+	return cex == nil
 }
 
 // sparseStrongLFSafe runs the polynomial double-edge test per
@@ -734,59 +731,55 @@ func sortedUniqueInts(xs *[]int) {
 	*xs = out
 }
 
-// planWalkCheck exhaustively checks props in every order ideal of the
-// plan, up to budget states. complete reports whether the verdict is
-// decisive: either a violation was found (ok false) or the full ideal
-// space was enumerated clean (ok true); complete false means the
-// budget ran out first.
-func planWalkCheck(in *Instance, p *Plan, props Property, budget int) (ok, complete bool) {
+// CheckIdeals decides props over the plan's reachable transient
+// states — its order ideals — and returns the first violating state
+// found (nil if none) and whether the verdict is exact. The ideal
+// space is enumerated exhaustively (single-flip DFS on the incremental
+// walker) while it fits budget states; past the budget, samples seeded
+// random linear extensions are replayed instead, checking every prefix
+// (each prefix is an ideal), and the verdict is inexact unless a
+// violation turned up. The empty ideal is the old configuration for a
+// forward plan; for a rollback plan an ideal I is the set of switches
+// already uninstalled, so the walk starts from BaseState and the
+// enumeration clears bits instead of setting them. The verdict is
+// deterministic in (budget, samples, seed).
+func (p *Plan) CheckIdeals(in *Instance, props Property, budget, samples int, seed int64) (cex *CounterExample, exact bool) {
 	w := in.NewWalker()
+	var base State // nil for forward plans: the empty ideal is the old state
+	if p.Rollback {
+		base = p.BaseState(in)
+		w.Reset(base)
+	}
 	idx := make([]int, len(p.Nodes))
 	for i, nd := range p.Nodes {
 		idx[i] = in.NodeIndex(nd.Switch)
 	}
+	check := func() bool {
+		if violated := w.Check(props); violated != 0 {
+			cex = &CounterExample{Updated: in.CloneState(w.State()), Walk: w.Path(), Violated: violated}
+			return false
+		}
+		return true
+	}
 	states := 0
-	violated := false
-	finished := p.VisitIdeals(
+	complete := p.VisitIdeals(
 		func(node int, _ bool) { w.Flip(idx[node]) },
 		func() bool {
 			states++
-			if states > budget {
-				return false
-			}
-			if w.Check(props) != 0 {
-				violated = true
-				return false
-			}
-			return true
+			return states <= budget && check()
 		})
-	if violated {
-		return false, true
+	if complete || cex != nil {
+		return cex, true
 	}
-	if !finished {
-		return false, false
-	}
-	return true, true
-}
-
-// planSpotCheck replays sparseSpotSamples seeded linear extensions of
-// the plan, checking props after every event (each prefix is an order
-// ideal). It is the cheap insurance behind the structural soundness
-// argument for plans whose ideal space exceeds the exhaustive budget.
-func planSpotCheck(in *Instance, p *Plan, props Property) bool {
-	w := in.NewWalker()
-	idx := make([]int, len(p.Nodes))
-	for i, nd := range p.Nodes {
-		idx[i] = in.NodeIndex(nd.Switch)
-	}
-	rng := rand.New(rand.NewSource(1))
+	rng := rand.New(rand.NewSource(seed))
 	run := NewPlanRun(p)
 	ready := make([]int, 0, len(p.Nodes))
-	for s := 0; s < sparseSpotSamples; s++ {
-		w.Reset(nil)
-		if w.Check(props) != 0 {
-			return false
-		}
+	w.Reset(base)
+	if !check() { // the empty ideal
+		return cex, false
+	}
+	for s := 0; s < samples; s++ {
+		w.Reset(base)
 		ready = run.Reset(ready[:0])
 		for len(ready) > 0 {
 			k := rng.Intn(len(ready))
@@ -794,12 +787,12 @@ func planSpotCheck(in *Instance, p *Plan, props Property) bool {
 			ready[k] = ready[len(ready)-1]
 			ready = run.Complete(i, ready[:len(ready)-1])
 			w.Flip(idx[i])
-			if w.Check(props) != 0 {
-				return false
+			if !check() {
+				return cex, false
 			}
 		}
 	}
-	return true
+	return nil, false
 }
 
 // sparsePlanner wraps a Scheduler whose round construction justifies

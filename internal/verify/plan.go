@@ -1,10 +1,6 @@
 package verify
 
-import (
-	"math/rand"
-
-	"tsu/internal/core"
-)
+import "tsu/internal/core"
 
 // Plan verifies a dependency plan: props must hold in every reachable
 // transient state, which for a plan means every order ideal
@@ -83,77 +79,9 @@ func PlanCounterexample(in *core.Instance, p *core.Plan, props core.Property, op
 }
 
 // planIdeals decides one plan's whole ideal space as a single round
-// result: exhaustive single-flip DFS within Options.Budget states,
-// sampled linear extensions past it.
+// result via core.Plan.CheckIdeals: exhaustive within Options.Budget
+// states, seeded linear extensions past it.
 func planIdeals(in *core.Instance, p *core.Plan, props core.Property, opts Options) RoundResult {
-	rr := RoundResult{Round: 0, Size: p.NumNodes()}
-	w := in.NewWalker()
-	var base core.State // nil for forward plans: the empty ideal is the old state
-	if p.Rollback {
-		base = p.BaseState(in)
-		w.Reset(base)
-	}
-	idx := make([]int, p.NumNodes())
-	for i, nd := range p.Nodes {
-		idx[i] = in.NodeIndex(nd.Switch)
-	}
-	states := 0
-	complete := p.VisitIdeals(
-		func(node int, _ bool) { w.Flip(idx[node]) },
-		func() bool {
-			states++
-			if states > opts.Budget {
-				return false
-			}
-			if violated := w.Check(props); violated != 0 {
-				rr.Violation = &core.CounterExample{
-					Updated:  in.CloneState(w.State()),
-					Walk:     w.Path(),
-					Violated: violated,
-				}
-				return false
-			}
-			return true
-		})
-	rr.Exact = complete || rr.Violation != nil
-	if !rr.Exact {
-		rr.Violation = samplePlan(in, p, w, base, idx, props, opts)
-	}
-	return rr
-}
-
-// samplePlan replays Options.Samples seeded random linear extensions
-// of the plan on the walker, checking every prefix (each prefix is an
-// order ideal), and returns the first counterexample found. base is
-// the state of the empty ideal: nil for forward plans, the plan's
-// BaseState for rollback plans.
-func samplePlan(in *core.Instance, p *core.Plan, w *core.Walker, base core.State, idx []int, props core.Property, opts Options) *core.CounterExample {
-	rng := rand.New(rand.NewSource(opts.Seed ^ 0x7F4A7C159E3779B9))
-	run := core.NewPlanRun(p)
-	ready := make([]int, 0, p.NumNodes())
-	check := func() *core.CounterExample {
-		if violated := w.Check(props); violated != 0 {
-			return &core.CounterExample{Updated: in.CloneState(w.State()), Walk: w.Path(), Violated: violated}
-		}
-		return nil
-	}
-	w.Reset(base)
-	if cex := check(); cex != nil { // the empty ideal
-		return cex
-	}
-	for s := 0; s < opts.Samples; s++ {
-		w.Reset(base)
-		ready = run.Reset(ready[:0])
-		for len(ready) > 0 {
-			k := rng.Intn(len(ready))
-			i := ready[k]
-			ready[k] = ready[len(ready)-1]
-			ready = run.Complete(i, ready[:len(ready)-1])
-			w.Flip(idx[i])
-			if cex := check(); cex != nil {
-				return cex
-			}
-		}
-	}
-	return nil
+	cex, exact := p.CheckIdeals(in, props, opts.Budget, opts.Samples, opts.Seed^0x7F4A7C159E3779B9)
+	return RoundResult{Round: 0, Size: p.NumNodes(), Violation: cex, Exact: exact}
 }
