@@ -21,8 +21,10 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
+# tsubench is a nested module: the root `go vet ./...` skips it.
 vet:
 	$(GO) vet ./...
+	cd tsubench && $(GO) vet ./...
 
 test:
 	$(GO) test ./... -race

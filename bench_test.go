@@ -550,6 +550,43 @@ func BenchmarkVerifyParallel(b *testing.B) {
 	})
 }
 
+// BenchmarkSparseProof times the order-ideal proof stage on the
+// greedy-slf sparse plan of Comb(4,3), the comb-verify-sparse input of
+// the repo benchmark: sparse-plan derives and proves the plan
+// (core.SparsePlan), verify-plan re-checks it against the schedule's
+// guarantees (verify.Plan). Both enumerate every order ideal of the
+// plan; ideals/op reports how many.
+func BenchmarkSparseProof(b *testing.B) {
+	ti := topo.Comb(4, 3)
+	in := core.MustInstance(ti.Old, ti.New, 0)
+	sched, err := scheduleByName(in, core.AlgoGreedySLF)
+	if err != nil {
+		b.Fatal(err)
+	}
+	plan := core.SparsePlan(in, sched)
+	if !plan.Sparse {
+		b.Fatal("Comb(4,3): greedy-slf plan fell back to layered")
+	}
+	ideals := 0
+	plan.VisitIdeals(func(int, bool) {}, func() bool { ideals++; return true })
+	b.Run("sparse-plan", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if !core.SparsePlan(in, sched).Sparse {
+				b.Fatal("plan fell back to layered")
+			}
+		}
+		b.ReportMetric(float64(ideals), "ideals/op")
+	})
+	b.Run("verify-plan", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if r := verify.Plan(in, plan, sched.Guarantees, verify.Options{}); !r.OK() {
+				b.Fatal(r)
+			}
+		}
+		b.ReportMetric(float64(ideals), "ideals/op")
+	})
+}
+
 func itoa(n int) string {
 	if n == 0 {
 		return "0"

@@ -40,7 +40,9 @@
 //
 //   - internal/core      — update model, schedulers (the paper's contribution),
 //     and the plan layer: Plan/PlanFromSchedule/SparsePlan, the order-ideal
-//     enumeration and checker (Plan.CheckIdeals), PlanRun (allocation-free ack-dispatch bookkeeping), and
+//     enumeration (Plan.VisitIdeals, incremental over PlanRun's dependency
+//     counts) and checker (Plan.CheckIdeals), PlanRun (allocation-free
+//     ack-dispatch bookkeeping), and
 //     the canonical plan wire codec; core.Walker is the incremental,
 //     allocation-free state-check primitive under the explorer and verifier
 //   - internal/synth     — counterexample-guided plan synthesis (CEGIS): grows

@@ -85,3 +85,62 @@ func TestPlanRunAllocs(t *testing.T) {
 		t.Fatalf("PlanRun Reset+Complete drain = %.1f allocs/op, want 0", got)
 	}
 }
+
+// TestIdealEnumerationAllocs pins the order-ideal proof at a constant
+// number of allocations per call, independent of how many ideals the
+// plan has: VisitIdeals and CheckIdeals allocate the same on a small
+// comb as on Comb(4,3), whose greedy-slf sparse plan has thousands of
+// ideals. CheckIdeals builds one PlanRun and shares it between the
+// exhaustive pass and the sampled fallback, so falling back costs
+// fewer allocations than a second PlanRun.
+func TestIdealEnumerationAllocs(t *testing.T) {
+	combPlan := func(k, chainLen int) (*Instance, *Plan) {
+		ti := topo.Comb(k, chainLen)
+		in := MustInstance(ti.Old, ti.New, 0)
+		s, err := GreedySLF(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := SparsePlan(in, s)
+		if !p.Sparse {
+			t.Fatalf("Comb(%d,%d): plan fell back to layered", k, chainLen)
+		}
+		return in, p
+	}
+	type measured struct{ ideals, visit, check float64 }
+	measure := func(in *Instance, p *Plan) measured {
+		var m measured
+		p.VisitIdeals(func(int, bool) {}, func() bool { m.ideals++; return true })
+		m.visit = testing.AllocsPerRun(20, func() {
+			p.VisitIdeals(func(int, bool) {}, func() bool { return true })
+		})
+		m.check = testing.AllocsPerRun(20, func() {
+			if cex, exact := p.CheckIdeals(in, p.Guarantees, 1<<20, 0, 1); cex != nil || !exact {
+				t.Fatalf("CheckIdeals = %v, exact %t; want a clean exhaustive proof", cex, exact)
+			}
+		})
+		return m
+	}
+	smallIn, small := combPlan(2, 1)
+	bigIn, big := combPlan(4, 3)
+	s, b := measure(smallIn, small), measure(bigIn, big)
+	if b.ideals < 1000 || b.ideals < 10*s.ideals {
+		t.Fatalf("ideals: small comb %v, Comb(4,3) %v; want a much larger space on Comb(4,3)", s.ideals, b.ideals)
+	}
+	if s.visit != b.visit {
+		t.Fatalf("VisitIdeals = %v allocs/op on %v ideals but %v on %v, want the same", s.visit, s.ideals, b.visit, b.ideals)
+	}
+	if s.check != b.check {
+		t.Fatalf("CheckIdeals = %v allocs/op on %v ideals but %v on %v, want the same", s.check, s.ideals, b.check, b.ideals)
+	}
+
+	runAllocs := testing.AllocsPerRun(20, func() { NewPlanRun(big) })
+	sampled := testing.AllocsPerRun(20, func() {
+		if cex, exact := big.CheckIdeals(bigIn, big.Guarantees, 16, 4, 1); cex != nil || exact {
+			t.Fatalf("CheckIdeals = %v, exact %t; want a clean sampled verdict", cex, exact)
+		}
+	})
+	if extra := sampled - b.check; extra >= runAllocs {
+		t.Fatalf("sampled fallback adds %v allocs/op over the exhaustive pass, a PlanRun costs %v: want the run shared", extra, runAllocs)
+	}
+}

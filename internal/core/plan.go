@@ -423,53 +423,96 @@ func (p *Plan) BaseState(in *Instance) State {
 // ideal, with the current set equal to that ideal. visit returning
 // false aborts; VisitIdeals reports whether the enumeration ran to
 // completion. The DFS is deterministic: branches always pick the
-// smallest eligible node index.
+// smallest eligible node index, include before exclude.
+//
+// One DFS step costs O(out-degree + n/64): the eligible nodes live in
+// a bitset kept up to date by the PlanRun dependency counts, so the
+// next branch node is its lowest set bit. Setup allocates a constant
+// number of objects, independent of the number of ideals.
 func (p *Plan) VisitIdeals(flip func(node int, on bool), visit func() bool) bool {
-	n := len(p.Nodes)
-	words := (n + 63) / 64
-	scratch := make([]uint64, 2*words)
-	included, excluded := scratch[:words], scratch[words:]
-	has := func(s []uint64, i int) bool { return s[i>>6]&(1<<(uint(i)&63)) != 0 }
-	set := func(s []uint64, i int) { s[i>>6] |= 1 << (uint(i) & 63) }
-	unset := func(s []uint64, i int) { s[i>>6] &^= 1 << (uint(i) & 63) }
-	eligible := func(i int) bool {
-		if has(included, i) || has(excluded, i) {
-			return false
+	return NewPlanRun(p).visitIdeals(flip, visit)
+}
+
+// idealVisitor is the DFS state of PlanRun.visitIdeals. A node is
+// included, excluded, or neither; elig holds the nodes that are
+// neither and whose dependencies are all included (unmet count zero in
+// run.indeg).
+type idealVisitor struct {
+	run   *PlanRun
+	elig  []uint64
+	flip  func(node int, on bool)
+	visit func() bool
+}
+
+// visitIdeals runs VisitIdeals on the run's dependency counts. It
+// leaves the run unstarted: call Reset before dispatching on it.
+func (r *PlanRun) visitIdeals(flip func(node int, on bool), visit func() bool) bool {
+	v := idealVisitor{run: r, elig: make([]uint64, (len(r.numDeps)+63)/64), flip: flip, visit: visit}
+	copy(r.indeg, r.numDeps)
+	for i, d := range r.indeg {
+		if d == 0 {
+			v.elig[i>>6] |= 1 << (uint(i) & 63)
 		}
-		for _, d := range p.Nodes[i].Deps {
-			if !has(included, d) {
-				return false
-			}
-		}
-		return true
 	}
-	var rec func() bool
-	rec = func() bool {
-		m := -1
-		for i := 0; i < n; i++ {
-			if eligible(i) {
-				m = i
-				break
-			}
-		}
-		if m == -1 {
-			return visit()
-		}
-		set(included, m)
-		flip(m, true)
-		if !rec() {
-			return false
-		}
-		flip(m, false)
-		unset(included, m)
-		set(excluded, m)
-		if !rec() {
-			return false
-		}
-		unset(excluded, m)
-		return true
+	return v.rec()
+}
+
+// rec branches on the smallest eligible node: include it, then
+// exclude it. On a completed branch every count and bit is restored;
+// an abort returns at once and leaves them as they are.
+func (v *idealVisitor) rec() bool {
+	m := v.lowest()
+	if m < 0 {
+		return v.visit()
 	}
-	return rec()
+	word, bit := m>>6, uint64(1)<<(uint(m)&63)
+	v.elig[word] &^= bit
+	v.include(m)
+	v.flip(m, true)
+	if !v.rec() {
+		return false
+	}
+	v.flip(m, false)
+	v.exclude(m)
+	if !v.rec() {
+		return false
+	}
+	v.elig[word] |= bit
+	return true
+}
+
+// lowest returns the smallest eligible node, or -1 if there is none.
+func (v *idealVisitor) lowest() int {
+	for k, w := range v.elig {
+		if w != 0 {
+			return k<<6 | bits.TrailingZeros64(w)
+		}
+	}
+	return -1
+}
+
+// include counts node m's inclusion against its successors and marks
+// the ones it releases eligible.
+func (v *idealVisitor) include(m int) {
+	r := v.run
+	for _, s := range r.succ[r.succStart[m]:r.succStart[m+1]] {
+		r.indeg[s]--
+		if r.indeg[s] == 0 {
+			v.elig[s>>6] |= 1 << (uint(s) & 63)
+		}
+	}
+}
+
+// exclude undoes include(m): the successors m released are no longer
+// eligible.
+func (v *idealVisitor) exclude(m int) {
+	r := v.run
+	for _, s := range r.succ[r.succStart[m]:r.succStart[m+1]] {
+		if r.indeg[s] == 0 {
+			v.elig[s>>6] &^= 1 << (uint(s) & 63)
+		}
+		r.indeg[s]++
+	}
 }
 
 // PlanRun is the reusable bookkeeping of an ack-driven dispatcher over
@@ -494,10 +537,11 @@ type PlanRun struct {
 // run is unstarted; call Reset before the first Complete.
 func NewPlanRun(p *Plan) *PlanRun {
 	n := len(p.Nodes)
+	counts := make([]int32, 3*n+1)
 	r := &PlanRun{
-		numDeps:   make([]int32, n),
-		succStart: make([]int32, n+1),
-		indeg:     make([]int32, n),
+		numDeps:   counts[:n:n],
+		succStart: counts[n : 2*n+1 : 2*n+1],
+		indeg:     counts[2*n+1:],
 	}
 	for i, nd := range p.Nodes {
 		r.numDeps[i] = int32(len(nd.Deps))
@@ -509,7 +553,7 @@ func NewPlanRun(p *Plan) *PlanRun {
 		r.succStart[i+1] += r.succStart[i]
 	}
 	r.succ = make([]int32, r.succStart[n])
-	fill := make([]int32, n)
+	fill := r.indeg // scratch until Reset re-arms the run
 	copy(fill, r.succStart[:n])
 	for i, nd := range p.Nodes {
 		for _, d := range nd.Deps {
@@ -733,16 +777,17 @@ func sortedUniqueInts(xs *[]int) {
 
 // CheckIdeals decides props over the plan's reachable transient
 // states — its order ideals — and returns the first violating state
-// found (nil if none) and whether the verdict is exact. The ideal
-// space is enumerated exhaustively (single-flip DFS on the incremental
-// walker) while it fits budget states; past the budget, samples seeded
-// random linear extensions are replayed instead, checking every prefix
-// (each prefix is an ideal), and the verdict is inexact unless a
-// violation turned up. The empty ideal is the old configuration for a
-// forward plan; for a rollback plan an ideal I is the set of switches
-// already uninstalled, so the walk starts from BaseState and the
-// enumeration clears bits instead of setting them. The verdict is
-// deterministic in (budget, samples, seed).
+// found (nil if none) and whether the verdict was decided by
+// exhaustive enumeration. The ideal space is enumerated exhaustively
+// (single-flip DFS on the incremental walker) while it fits budget
+// states; past the budget, samples seeded random linear extensions are
+// replayed instead, checking every prefix (each prefix is an ideal),
+// and exact is false whether or not a violation turned up. The empty
+// ideal is the old configuration for a forward plan; for a rollback
+// plan an ideal I is the set of switches already uninstalled, so the
+// walk starts from BaseState and the enumeration clears bits instead
+// of setting them. The verdict is deterministic in (budget, samples,
+// seed).
 func (p *Plan) CheckIdeals(in *Instance, props Property, budget, samples int, seed int64) (cex *CounterExample, exact bool) {
 	w := in.NewWalker()
 	var base State // nil for forward plans: the empty ideal is the old state
@@ -761,8 +806,9 @@ func (p *Plan) CheckIdeals(in *Instance, props Property, budget, samples int, se
 		}
 		return true
 	}
+	run := NewPlanRun(p)
 	states := 0
-	complete := p.VisitIdeals(
+	complete := run.visitIdeals(
 		func(node int, _ bool) { w.Flip(idx[node]) },
 		func() bool {
 			states++
@@ -772,7 +818,6 @@ func (p *Plan) CheckIdeals(in *Instance, props Property, budget, samples int, se
 		return cex, true
 	}
 	rng := rand.New(rand.NewSource(seed))
-	run := NewPlanRun(p)
 	ready := make([]int, 0, len(p.Nodes))
 	w.Reset(base)
 	if !check() { // the empty ideal

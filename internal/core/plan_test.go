@@ -350,3 +350,125 @@ func TestPlanCodecRejects(t *testing.T) {
 		}
 	}
 }
+
+// visitIdealsRef is the reference enumerator VisitIdeals replaced: the
+// same include-before-exclude DFS on the smallest eligible node, but it
+// rescans every node and its dependencies at each step.
+func visitIdealsRef(p *Plan, flip func(node int, on bool), visit func() bool) bool {
+	n := len(p.Nodes)
+	words := (n + 63) / 64
+	scratch := make([]uint64, 2*words)
+	included, excluded := scratch[:words], scratch[words:]
+	has := func(s []uint64, i int) bool { return s[i>>6]&(1<<(uint(i)&63)) != 0 }
+	set := func(s []uint64, i int) { s[i>>6] |= 1 << (uint(i) & 63) }
+	unset := func(s []uint64, i int) { s[i>>6] &^= 1 << (uint(i) & 63) }
+	eligible := func(i int) bool {
+		if has(included, i) || has(excluded, i) {
+			return false
+		}
+		for _, d := range p.Nodes[i].Deps {
+			if !has(included, d) {
+				return false
+			}
+		}
+		return true
+	}
+	var rec func() bool
+	rec = func() bool {
+		m := -1
+		for i := 0; i < n; i++ {
+			if eligible(i) {
+				m = i
+				break
+			}
+		}
+		if m == -1 {
+			return visit()
+		}
+		set(included, m)
+		flip(m, true)
+		if !rec() {
+			return false
+		}
+		flip(m, false)
+		unset(included, m)
+		set(excluded, m)
+		if !rec() {
+			return false
+		}
+		unset(excluded, m)
+		return true
+	}
+	return rec()
+}
+
+// randomDAGPlan returns a plan over n nodes whose edges follow a random
+// topological order, so node indices need not be topological: a node
+// may depend on a higher-indexed one. density is the edge probability
+// between two nodes in order.
+func randomDAGPlan(rng *rand.Rand, n int, density float64) *Plan {
+	pos := rng.Perm(n)
+	p := &Plan{Nodes: make([]PlanNode, n)}
+	for i := range p.Nodes {
+		for j := 0; j < n; j++ {
+			if pos[j] < pos[i] && rng.Float64() < density {
+				p.Nodes[i].Deps = append(p.Nodes[i].Deps, j)
+			}
+		}
+	}
+	return p
+}
+
+// idealEventLog runs an enumerator and records its flip(node, on) and
+// visit callbacks in order (a flip as 2·node+on, a visit as -1);
+// visit aborts the run at its limit-th call.
+func idealEventLog(enum func(flip func(int, bool), visit func() bool) bool, limit int) ([]int, bool) {
+	var log []int
+	visits := 0
+	complete := enum(
+		func(node int, on bool) {
+			e := 2 * node
+			if on {
+				e++
+			}
+			log = append(log, e)
+		},
+		func() bool {
+			log = append(log, -1)
+			visits++
+			return visits < limit
+		})
+	return log, complete
+}
+
+// TestVisitIdealsMatchesReference pins the incremental enumerator to
+// the reference one event for event — the same flips and visits in the
+// same order, and the same completion verdict — on seeded random DAGs:
+// empty and one-node plans, plans past 64 nodes (multi-word bitsets),
+// sparse and dense, run to completion or aborted at a random visit.
+func TestVisitIdealsMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for trial := 0; trial < 400; trial++ {
+		var n int
+		switch {
+		case trial < 2:
+			n = trial
+		case trial%4 == 0:
+			n = 65 + rng.Intn(26)
+		default:
+			n = 2 + rng.Intn(20)
+		}
+		density := []float64{0.02, 0.1, 0.3, 0.7}[rng.Intn(4)]
+		p := randomDAGPlan(rng, n, density)
+		limit := 50000
+		if rng.Intn(2) == 0 {
+			limit = 1 + rng.Intn(2000)
+		}
+		want, wantDone := idealEventLog(func(f func(int, bool), v func() bool) bool { return visitIdealsRef(p, f, v) }, limit)
+		got, gotDone := idealEventLog(p.VisitIdeals, limit)
+		if gotDone != wantDone || !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d (n=%d density=%g limit=%d): VisitIdeals diverges from the reference: complete %t/%t, %d/%d events",
+				trial, n, density, limit, gotDone, wantDone, len(got), len(want))
+		}
+	}
+}

@@ -57,8 +57,12 @@ func (w *Walker) Bind(in *Instance) *Walker {
 	}
 	w.st = w.st[:in.words]
 	if cap(w.posOf) < n {
+		// A walk and a rule chain visit each node at most once, so
+		// path and marks never grow past n.
 		w.posOf = make([]int32, n)
 		w.color = make([]uint8, n)
+		w.path = make([]int32, 0, n)
+		w.marks = make([]int32, 0, n)
 	}
 	w.posOf = w.posOf[:n]
 	w.color = w.color[:n]
